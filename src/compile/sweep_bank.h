@@ -1,21 +1,22 @@
-// A bank of per-member matcher executors for the grouped canonical sweep.
+// A bank of per-member matcher executors for the canonical sweep.
 //
 // The coNP procedure enumerates canonical models of the *enumeration-side*
-// pattern p; when many in-flight queries share p (zipf tenant traffic, batch
-// fan-in), every tree of that exponential space can be built once and
-// evaluated against all partner patterns in a single columnar pass.  The
-// `SweepBank` is the evaluation half of that loop: one slot per member
-// pattern q_i, each holding the member's compiled `MatcherProgram` +
+// pattern p.  contain/containment.cc runs ONE sweep loop for every such
+// decision: each tree of that exponential space is built once and evaluated
+// against all still-undecided partner patterns — a solo decision is simply a
+// group of one, and a sequential sweep is a single chunk of the parallel
+// one.  The `SweepBank` is the evaluation half of that loop: one slot per
+// member pattern q_i, each holding the member's compiled `MatcherProgram` +
 // `ProgramSweep` executor — or the generic `MatcherWorkspace` fallback when
 // the pattern is oversize (> 64 nodes) or compilation was declined — so the
-// grouped sweep in contain/containment.cc just walks the undecided mask and
-// calls `EvalMember` per live member.
+// sweep just walks the undecided mask and calls `EvalMember` per live
+// member.
 //
 // Attribution stays per member: `ChargeMember` books the executor's table
-// bytes against the *member's* budget (exactly the bytes a solo sweep of
-// that member would charge), and `EvalMember` reports DP work into the
+// bytes against the *member's* budget (exactly the bytes a sweep of that
+// member alone would charge), and `EvalMember` reports DP work into the
 // member's own `EngineStats`.  The bank itself owns no budget and no lock —
-// the grouped sweep drives one bank per thread.
+// the sweep drives one bank per chunk, and each chunk runs on one thread.
 
 #ifndef TPC_COMPILE_SWEEP_BANK_H_
 #define TPC_COMPILE_SWEEP_BANK_H_
@@ -51,23 +52,18 @@ class SweepBank {
 
   size_t size() const { return members_.size(); }
 
-  const Tpq& pattern(size_t i) const { return *members_[i]->q; }
-
-  /// Whether member `i` evaluates through a compiled program.
-  bool compiled(size_t i) const { return members_[i]->program != nullptr; }
-
   /// Books member `i`'s table bytes for an evaluation against `t` on
-  /// `budget` — the same high-water charge the member's solo sweep would
-  /// make.  False means the budget refused; the caller retires the member
-  /// as memory-exhausted and must not call `EvalMember`.
+  /// `budget` — the same high-water charge a sweep of that member alone
+  /// would make.  False means the budget refused; the caller retires the
+  /// member as memory-exhausted and must not call `EvalMember`.
   bool ChargeMember(size_t i, const Tree& t, Budget* budget);
 
   /// Evaluates member `i` against `t` and returns whether it matches
   /// (`strong` selects root-to-root matching).  With `suffix_only`, refills
   /// only the postorder suffix above `stable_limit`; precondition: the
   /// member's previous `EvalMember` used the same tree object and the
-  /// nodes below `stable_limit` are unchanged (the grouped sweep guarantees
-  /// this — an undecided member has evaluated every tree so far).
+  /// nodes below `stable_limit` are unchanged (the sweep guarantees this —
+  /// an undecided member has evaluated every tree of its chunk so far).
   /// `ChargeMember(i, t, ...)` must have succeeded for this tree.
   bool EvalMember(size_t i, const Tree& t, bool suffix_only,
                   NodeId stable_limit, bool strong, bool word_parallel,

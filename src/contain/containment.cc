@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <deque>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -142,171 +140,157 @@ void MarkExhausted(ContainmentResult* result, EngineContext* ctx) {
   result->reason = r == ExhaustionReason::kNone ? ExhaustionReason::kSteps : r;
 }
 
-/// One incremental-sweep step shared by the sequential and parallel sweeps:
-/// (re)builds the canonical model for the enumerator's current length vector,
-/// charges the budget, and (re)runs the embedding DP — in `psweep` when the
-/// sweep holds a compiled `program`, in the generic `ws` otherwise.  When
-/// `incremental` and this is not the first iteration on this
-/// (builder, executor, scratch) triple, only the suffix from the first
-/// changed spine is rebuilt and only the invalidated DP columns are
-/// refilled.  Returns the `Matches` verdict, or std::nullopt when the budget
-/// ran out (the tree is built but not evaluated, mirroring the from-scratch
-/// path).  The compiled and generic twins charge identical table bytes for
-/// compilable (single-word) patterns, so exhaustion points agree across A/B
-/// runs.
-std::optional<bool> SweepStep(const Tpq& q, Mode mode,
-                              CanonicalTreeBuilder* builder,
-                              const MatcherProgram* program,
-                              ProgramSweep* psweep, MatcherWorkspace* ws,
-                              Tree* scratch,
-                              const CanonicalLengthEnumerator& lengths,
-                              bool fresh, bool incremental, bool word_parallel,
-                              EngineContext* ctx) {
-  EngineStats& stats = ctx->stats();
-  stats.canonical_trees_enumerated.fetch_add(1, std::memory_order_relaxed);
-  size_t first_changed = lengths.first_changed();
-  bool suffix_only =
-      !fresh && incremental && first_changed < builder->num_spines();
-  if (suffix_only) {
-    builder->BuildSuffix(lengths.lengths(), first_changed, scratch);
-    stats.trees_rebuilt_from_spine.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    builder->BuildFull(lengths.lengths(), scratch);
-  }
-  if (!ctx->budget().Charge(TreeCost(q, *scratch))) return std::nullopt;
-  if (program != nullptr) {
-    if (!psweep->ChargeTables(*scratch, &ctx->budget())) return std::nullopt;
-    if (suffix_only) {
-      psweep->EvalIncremental(*program, *scratch,
-                              builder->spine_start(first_changed), &stats);
-    } else {
-      psweep->EvalFull(*program, *scratch, &stats);
-    }
-    return mode == Mode::kStrong ? psweep->MatchesStrong()
-                                 : psweep->MatchesWeak();
-  }
-  if (!ws->ChargeTables(q, *scratch, &ctx->budget())) return std::nullopt;
-  if (suffix_only) {
-    ws->EvalIncremental(q, *scratch, builder->spine_start(first_changed),
-                        &stats, word_parallel);
-  } else {
-    ws->EvalFull(q, *scratch, &stats, word_parallel);
-  }
-  return mode == Mode::kStrong ? ws->MatchesStrong() : ws->MatchesWeak();
-}
+/// One member of a canonical sweep, after normalization (and, for strong
+/// mode, the Observation 2.3 relabelling) has been applied.
+struct SweepMember {
+  size_t slot = 0;          // index into the caller's results array
+  const Tpq* qn = nullptr;  // normalized evaluation-side pattern
+  EngineContext* ctx = nullptr;
+};
 
-/// Sequential sweep over the whole length-vector space, reusing one scratch
-/// tree and one matcher executor (compiled or generic) across iterations.
-ContainmentResult SequentialSweep(const Tpq& p, const Tpq& q, Mode mode,
-                                  LabelId bottom, size_t num_edges,
-                                  int32_t bound, LabelPool* pool,
-                                  const ContainmentOptions& options,
-                                  EngineContext* ctx) {
-  ContainmentResult result;
-  result.algorithm = ContainmentAlgorithm::kCanonicalEnumeration;
-  CanonicalTreeBuilder builder(p, bottom);
-  std::shared_ptr<const MatcherProgram> program =
-      SweepProgram(q, mode, pool, ctx, options);
-  ProgramSweep psweep;
-  MatcherWorkspace ws;
-  Tree scratch;
-  CanonicalLengthEnumerator lengths(num_edges, bound);
-  bool fresh = true;
-  do {
-    std::optional<bool> matched =
-        SweepStep(q, mode, &builder, program.get(), &psweep, &ws, &scratch,
-                  lengths, fresh, options.incremental, options.word_parallel,
-                  ctx);
-    fresh = false;
-    if (!matched.has_value()) {
-      MarkExhausted(&result, ctx);
-      return result;
+/// The canonical-model sweep (Thm 3.3) for members sharing p and one
+/// chain-length bound.  Each canonical tree of p is built once and evaluated
+/// against every still-undecided member through a `SweepBank`; a member
+/// retires at its first counterexample or budget trip (the undecided mask),
+/// and the sweep stops once every member has retired.  Per member, the
+/// budget charges (TreeCost, then executor table bytes, in enumeration
+/// order) are exactly those of a sweep of that member alone, so exhaustion
+/// attribution does not depend on grouping; shared work (tree builds) is
+/// accounted once, on `group_ctx`, which also drives the parallel gate.  A
+/// solo decision is a group of one whose `group_ctx` is its own context.
+void CanonicalSweep(const Tpq& p, const std::vector<SweepMember>& members,
+                    Mode mode, int32_t bound, LabelPool* pool,
+                    EngineContext* group_ctx,
+                    const ContainmentOptions& options,
+                    std::vector<ContainmentResult>* results) {
+  for (const SweepMember& m : members) {
+    (*results)[m.slot].algorithm = ContainmentAlgorithm::kCanonicalEnumeration;
+  }
+  const LabelId bottom = pool->Fresh("_bot");
+  const size_t num_edges = DescendantEdges(p).size();
+  const size_t n = members.size();
+  EngineStats& gstats = group_ctx->stats();
+  // One immutable program per member, shared by every chunk's bank.
+  std::vector<std::shared_ptr<const MatcherProgram>> programs(n);
+  for (size_t i = 0; i < n; ++i) {
+    programs[i] =
+        SweepProgram(*members[i].qn, mode, pool, members[i].ctx, options);
+  }
+  std::vector<std::atomic<bool>> undecided(n);
+  for (std::atomic<bool>& u : undecided) {
+    u.store(true, std::memory_order_relaxed);
+  }
+  std::atomic<int64_t> live{static_cast<int64_t>(n)};
+  // Retires member `i` and returns how many members are still live, or -1
+  // when another chunk retired `i` first: only the winner of the exchange
+  // may write the member's result slot.  A retirement is "early" when at
+  // least one groupmate keeps sweeping without it.
+  auto retire = [&](size_t i) -> int64_t {
+    if (!undecided[i].exchange(false, std::memory_order_acq_rel)) return -1;
+    const int64_t left = live.fetch_sub(1, std::memory_order_acq_rel) - 1;
+    if (left > 0) {
+      gstats.group_members_retired_early.fetch_add(1,
+                                                   std::memory_order_relaxed);
     }
-    if (!*matched) {
-      result.contained = false;
-      result.counterexample = std::move(scratch);
-      result.counterexample_lengths = lengths.lengths();
-      return result;
-    }
-  } while (lengths.Next());
-  result.contained = true;
-  return result;
-}
+    return left;
+  };
 
-/// Chunked-parallel sweep: contiguous chunks of the (bound+1)^k enumeration
-/// order are claimed dynamically by the pool's workers; the first worker to
-/// find a counterexample (or exhaust the budget) stops the others.
-ContainmentResult ParallelSweep(const Tpq& p, const Tpq& q, Mode mode,
-                                LabelId bottom, size_t num_edges,
-                                int32_t bound, uint64_t total, uint64_t chunk,
-                                LabelPool* pool,
-                                const ContainmentOptions& options,
-                                EngineContext* ctx) {
-  ContainmentResult result;
-  result.algorithm = ContainmentAlgorithm::kCanonicalEnumeration;
-  // One immutable program shared by every worker (executors are per-chunk).
-  std::shared_ptr<const MatcherProgram> program =
-      SweepProgram(q, mode, pool, ctx, options);
-  // The caller guarantees chunk >= 1 and total + chunk - 1 <= INT64_MAX, so
-  // neither the rounding below nor the int64 cast can overflow.
-  const uint64_t num_chunks = (total + chunk - 1) / chunk;
-  std::atomic<bool> stop{false};
-  std::atomic<bool> out_of_budget{false};
-  std::mutex mu;
-  std::optional<Tree> counterexample;
-  std::optional<std::vector<int32_t>> counterexample_lengths;
-
-  ctx->pool().ParallelFor(
-      static_cast<int64_t>(num_chunks), [&](int64_t chunk_index) {
-        if (stop.load(std::memory_order_relaxed)) return;
-        uint64_t begin = static_cast<uint64_t>(chunk_index) * chunk;
-        uint64_t end = std::min(begin + chunk, total);
-        CanonicalLengthEnumerator lengths(num_edges, bound);
-        lengths.SeekTo(begin);
-        // Builder, executor and scratch tree live for the whole chunk, so
-        // within a chunk every step after the first runs incrementally.
-        CanonicalTreeBuilder builder(p, bottom);
-        ProgramSweep psweep;
-        MatcherWorkspace ws;
-        Tree scratch;
-        bool fresh = true;
-        for (uint64_t i = begin; i < end; ++i) {
-          if (stop.load(std::memory_order_relaxed)) return;
-          std::optional<bool> matched =
-              SweepStep(q, mode, &builder, program.get(), &psweep, &ws,
-                        &scratch, lengths, fresh, options.incremental,
-                        options.word_parallel, ctx);
-          fresh = false;
-          if (!matched.has_value()) {
-            out_of_budget.store(true, std::memory_order_relaxed);
-            stop.store(true, std::memory_order_relaxed);
-            return;
-          }
-          if (!*matched) {
-            std::lock_guard<std::mutex> lock(mu);
-            if (!counterexample.has_value()) {
-              counterexample = std::move(scratch);
-              counterexample_lengths = lengths.lengths();
-            }
-            stop.store(true, std::memory_order_relaxed);
-            return;
-          }
-          if (i + 1 < end) lengths.Next();
+  // Decides the length vectors [begin, end) of the enumeration order for
+  // every undecided member, stopping early once none is left.  Builder,
+  // bank and scratch tree live for the whole chunk, so with
+  // `options.incremental` every tree after the chunk's first rebuilds only
+  // the suffix from the first changed spine and refills only the
+  // invalidated DP columns.
+  auto sweep_chunk = [&](uint64_t begin, uint64_t end) {
+    CanonicalLengthEnumerator lengths(num_edges, bound);
+    lengths.SeekTo(begin);
+    CanonicalTreeBuilder builder(p, bottom);
+    SweepBank bank;
+    for (size_t i = 0; i < n; ++i) bank.AddMember(members[i].qn, programs[i]);
+    Tree scratch;
+    for (uint64_t t = begin; live.load(std::memory_order_relaxed) > 0; ++t) {
+      gstats.canonical_trees_enumerated.fetch_add(1, std::memory_order_relaxed);
+      const size_t first_changed = lengths.first_changed();
+      const bool suffix_only = t > begin && options.incremental &&
+                               first_changed < builder.num_spines();
+      if (suffix_only) {
+        builder.BuildSuffix(lengths.lengths(), first_changed, &scratch);
+        gstats.trees_rebuilt_from_spine.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        builder.BuildFull(lengths.lengths(), &scratch);
+      }
+      const NodeId stable_limit =
+          suffix_only ? builder.spine_start(first_changed) : 0;
+      int64_t evaluated = 0;
+      for (size_t i = 0; i < n; ++i) {
+        if (!undecided[i].load(std::memory_order_relaxed)) continue;
+        const SweepMember& m = members[i];
+        ContainmentResult& r = (*results)[m.slot];
+        if (!m.ctx->budget().Charge(TreeCost(*m.qn, scratch)) ||
+            !bank.ChargeMember(i, scratch, &m.ctx->budget())) {
+          if (retire(i) >= 0) MarkExhausted(&r, m.ctx);
+          continue;
         }
-      });
+        ++evaluated;
+        if (bank.EvalMember(i, scratch, suffix_only, stable_limit,
+                            mode == Mode::kStrong, options.word_parallel,
+                            &m.ctx->stats())) {
+          continue;
+        }
+        const int64_t left = retire(i);
+        if (left < 0) continue;
+        r.contained = false;
+        r.counterexample_lengths = lengths.lengths();
+        // The last live member takes the scratch tree (this chunk stops
+        // here); otherwise groupmates keep sweeping on it, so copy.
+        if (left == 0) {
+          r.counterexample = std::move(scratch);
+        } else {
+          r.counterexample = scratch;
+        }
+      }
+      if (evaluated > 1) {
+        gstats.trees_shared_per_decision.fetch_add(evaluated - 1,
+                                                   std::memory_order_relaxed);
+      }
+      if (t + 1 == end || !lengths.Next()) return;
+    }
+  };
 
-  // ParallelFor's return synchronizes with every worker, so the plain reads
-  // below see all their writes.
-  if (counterexample.has_value()) {
-    result.contained = false;
-    result.counterexample = std::move(counterexample);
-    result.counterexample_lengths = std::move(counterexample_lengths);
-  } else if (out_of_budget.load(std::memory_order_relaxed)) {
-    MarkExhausted(&result, ctx);
+  // Parallelize only when the space is big enough to amortize the chunk
+  // bookkeeping.  Spaces too large to linearize in 64 bits run sequentially
+  // (no budget finishes them anyway) — and so do totals near the int64/uint64
+  // edge, where the chunk-count arithmetic below would wrap and sweep only a
+  // sliver of the space.  The sequential sweep is one chunk with no upper
+  // end: it runs until the enumerator is exhausted.
+  const std::optional<uint64_t> total =
+      CanonicalLengthEnumerator(num_edges, bound).TotalCountExact();
+  const uint64_t chunk =
+      std::max<uint64_t>(1, static_cast<uint64_t>(std::max<int64_t>(
+                                0, group_ctx->config().parallel_chunk)));
+  const uint64_t max_parallel_total =
+      static_cast<uint64_t>(std::numeric_limits<int64_t>::max()) - chunk;
+  if (!options.sequential_sweep && group_ctx->threads() > 1 &&
+      total.has_value() &&
+      *total >= static_cast<uint64_t>(group_ctx->config().parallel_threshold) &&
+      *total <= max_parallel_total) {
+    const uint64_t num_chunks = (*total + chunk - 1) / chunk;
+    group_ctx->pool().ParallelFor(
+        static_cast<int64_t>(num_chunks), [&](int64_t chunk_index) {
+          const uint64_t begin = static_cast<uint64_t>(chunk_index) * chunk;
+          sweep_chunk(begin, std::min(begin + chunk, *total));
+        });
   } else {
-    result.contained = true;
+    sweep_chunk(0, std::numeric_limits<uint64_t>::max());
   }
-  return result;
+
+  // ParallelFor's return synchronizes with every worker; members still
+  // undecided matched every canonical model.
+  for (size_t i = 0; i < n; ++i) {
+    if (undecided[i].load(std::memory_order_relaxed)) {
+      (*results)[members[i].slot].contained = true;
+    }
+  }
 }
 
 ContainmentResult ContainsImpl(const Tpq& p, const Tpq& q, Mode mode,
@@ -444,268 +428,16 @@ ContainmentResult ContainsImpl(const Tpq& p, const Tpq& q, Mode mode,
   return CanonicalContainment(p, qn, Mode::kWeak, pool, ctx, options);
 }
 
-/// One canonical-route member of a grouped sweep, after normalization (and,
-/// for strong mode, the Observation 2.3 relabelling) has been applied.
-struct SweepMember {
-  size_t slot = 0;          // index into the caller's members/results arrays
-  const Tpq* qn = nullptr;  // normalized evaluation-side pattern
-  EngineContext* ctx = nullptr;
-};
-
-/// Retires member `i` of a grouped sweep and maintains the early-retire
-/// counter: a retirement is "early" when at least one groupmate keeps
-/// sweeping without it (the payoff of the undecided mask).
-void RetireMember(std::vector<char>* undecided, size_t i, size_t* live,
-                  EngineStats* group_stats) {
-  (*undecided)[i] = 0;
-  --*live;
-  if (*live > 0) {
-    group_stats->group_members_retired_early.fetch_add(
-        1, std::memory_order_relaxed);
-  }
-}
-
-/// Sequential grouped sweep: ONE builder/enumerator pass over the canonical
-/// models of p, each tree evaluated against every still-undecided member.
-/// Budget charges per live member are identical to the member's solo
-/// `SequentialSweep` (TreeCost then executor table bytes, in enumeration
-/// order), so exhaustion attribution survives grouping bit-for-bit; shared
-/// work (tree builds) is accounted once, on `group_ctx`.
-void GroupSequentialSweep(const Tpq& p,
-                          const std::vector<SweepMember>& members, Mode mode,
-                          LabelId bottom, size_t num_edges, int32_t bound,
-                          LabelPool* pool, const ContainmentOptions& options,
-                          EngineContext* group_ctx,
-                          std::vector<ContainmentResult>* results) {
-  EngineStats& gstats = group_ctx->stats();
-  SweepBank bank;
-  for (const SweepMember& m : members) {
-    bank.AddMember(m.qn, SweepProgram(*m.qn, mode, pool, m.ctx, options));
-  }
-  CanonicalTreeBuilder builder(p, bottom);
-  CanonicalLengthEnumerator lengths(num_edges, bound);
-  Tree scratch;
-  std::vector<char> undecided(members.size(), 1);
-  size_t live = members.size();
-  bool fresh = true;
-  do {
-    gstats.canonical_trees_enumerated.fetch_add(1, std::memory_order_relaxed);
-    const size_t first_changed = lengths.first_changed();
-    const bool suffix_only =
-        !fresh && options.incremental && first_changed < builder.num_spines();
-    if (suffix_only) {
-      builder.BuildSuffix(lengths.lengths(), first_changed, &scratch);
-      gstats.trees_rebuilt_from_spine.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      builder.BuildFull(lengths.lengths(), &scratch);
-    }
-    const NodeId stable_limit =
-        suffix_only ? builder.spine_start(first_changed) : 0;
-    int64_t evaluated = 0;
-    for (size_t i = 0; i < members.size(); ++i) {
-      if (!undecided[i]) continue;
-      const SweepMember& m = members[i];
-      ContainmentResult& r = (*results)[m.slot];
-      if (!m.ctx->budget().Charge(TreeCost(*m.qn, scratch)) ||
-          !bank.ChargeMember(i, scratch, &m.ctx->budget())) {
-        MarkExhausted(&r, m.ctx);
-        RetireMember(&undecided, i, &live, &gstats);
-        continue;
-      }
-      const bool matched =
-          bank.EvalMember(i, scratch, suffix_only, stable_limit,
-                          mode == Mode::kStrong, options.word_parallel,
-                          &m.ctx->stats());
-      ++evaluated;
-      if (!matched) {
-        r.contained = false;
-        // Copy, not move: groupmates keep sweeping on this scratch tree.
-        r.counterexample = scratch;
-        r.counterexample_lengths = lengths.lengths();
-        RetireMember(&undecided, i, &live, &gstats);
-      }
-    }
-    if (evaluated > 1) {
-      gstats.trees_shared_per_decision.fetch_add(evaluated - 1,
-                                                 std::memory_order_relaxed);
-    }
-    fresh = false;
-    if (live == 0) return;
-  } while (lengths.Next());
-  for (size_t i = 0; i < members.size(); ++i) {
-    if (undecided[i]) (*results)[members[i].slot].contained = true;
-  }
-}
-
-/// Chunked-parallel grouped sweep: like `ParallelSweep`, but each chunk
-/// carries a whole bank of member executors and the stop conditions are per
-/// member (an atomic undecided mask).  A member's budget trip or first
-/// counterexample retires only that member; the sweep stops once every
-/// member is decided.
-void GroupParallelSweep(const Tpq& p, const std::vector<SweepMember>& members,
-                        Mode mode, LabelId bottom, size_t num_edges,
-                        int32_t bound, uint64_t total, uint64_t chunk,
-                        LabelPool* pool, const ContainmentOptions& options,
-                        EngineContext* group_ctx,
-                        std::vector<ContainmentResult>* results) {
-  EngineStats& gstats = group_ctx->stats();
-  const size_t n = members.size();
-  // One immutable program per member, shared by every chunk's bank.
-  std::vector<std::shared_ptr<const MatcherProgram>> programs(n);
-  for (size_t i = 0; i < n; ++i) {
-    programs[i] =
-        SweepProgram(*members[i].qn, mode, pool, members[i].ctx, options);
-  }
-  struct MemberState {
-    std::atomic<bool> undecided{true};
-  };
-  std::deque<MemberState> state(n);
-  std::atomic<int64_t> live{static_cast<int64_t>(n)};
-  // Retires member `i` (at most one caller wins the exchange) and returns
-  // whether this caller is the winner — the only thread allowed to write the
-  // member's result slot.
-  auto retire = [&](size_t i) {
-    if (!state[i].undecided.exchange(false, std::memory_order_acq_rel)) {
-      return false;
-    }
-    if (live.fetch_sub(1, std::memory_order_acq_rel) - 1 > 0) {
-      gstats.group_members_retired_early.fetch_add(1,
-                                                   std::memory_order_relaxed);
-    }
-    return true;
-  };
-  const uint64_t num_chunks = (total + chunk - 1) / chunk;
-
-  group_ctx->pool().ParallelFor(
-      static_cast<int64_t>(num_chunks), [&](int64_t chunk_index) {
-        if (live.load(std::memory_order_relaxed) == 0) return;
-        const uint64_t begin = static_cast<uint64_t>(chunk_index) * chunk;
-        const uint64_t end = std::min(begin + chunk, total);
-        CanonicalLengthEnumerator lengths(num_edges, bound);
-        lengths.SeekTo(begin);
-        CanonicalTreeBuilder builder(p, bottom);
-        SweepBank bank;
-        for (size_t i = 0; i < n; ++i) {
-          bank.AddMember(members[i].qn, programs[i]);
-        }
-        Tree scratch;
-        bool fresh = true;
-        for (uint64_t t = begin; t < end; ++t) {
-          if (live.load(std::memory_order_relaxed) == 0) return;
-          gstats.canonical_trees_enumerated.fetch_add(
-              1, std::memory_order_relaxed);
-          const size_t first_changed = lengths.first_changed();
-          const bool suffix_only = !fresh && options.incremental &&
-                                   first_changed < builder.num_spines();
-          if (suffix_only) {
-            builder.BuildSuffix(lengths.lengths(), first_changed, &scratch);
-            gstats.trees_rebuilt_from_spine.fetch_add(
-                1, std::memory_order_relaxed);
-          } else {
-            builder.BuildFull(lengths.lengths(), &scratch);
-          }
-          const NodeId stable_limit =
-              suffix_only ? builder.spine_start(first_changed) : 0;
-          int64_t evaluated = 0;
-          for (size_t i = 0; i < n; ++i) {
-            if (!state[i].undecided.load(std::memory_order_relaxed)) continue;
-            const SweepMember& m = members[i];
-            if (!m.ctx->budget().Charge(TreeCost(*m.qn, scratch)) ||
-                !bank.ChargeMember(i, scratch, &m.ctx->budget())) {
-              if (retire(i)) MarkExhausted(&(*results)[m.slot], m.ctx);
-              continue;
-            }
-            const bool matched =
-                bank.EvalMember(i, scratch, suffix_only, stable_limit,
-                                mode == Mode::kStrong, options.word_parallel,
-                                &m.ctx->stats());
-            ++evaluated;
-            if (!matched && retire(i)) {
-              ContainmentResult& r = (*results)[m.slot];
-              r.contained = false;
-              r.counterexample = scratch;  // copy: this chunk keeps sweeping
-              r.counterexample_lengths = lengths.lengths();
-            }
-          }
-          if (evaluated > 1) {
-            gstats.trees_shared_per_decision.fetch_add(
-                evaluated - 1, std::memory_order_relaxed);
-          }
-          fresh = false;
-          if (t + 1 < end) lengths.Next();
-        }
-      });
-
-  // ParallelFor's return synchronizes with every worker; members still
-  // undecided matched every canonical model.
-  for (size_t i = 0; i < n; ++i) {
-    if (state[i].undecided.load(std::memory_order_relaxed)) {
-      (*results)[members[i].slot].contained = true;
-    }
-  }
-}
-
-/// Grouped twin of `CanonicalContainment` for members sharing one
-/// chain-length bound.  Same parallelization gate as the solo procedure
-/// (driven by `group_ctx`).
-void CanonicalContainmentGroup(const Tpq& p,
-                               const std::vector<SweepMember>& members,
-                               Mode mode, int32_t bound, LabelPool* pool,
-                               EngineContext* group_ctx,
-                               const ContainmentOptions& options,
-                               std::vector<ContainmentResult>* results) {
-  for (const SweepMember& m : members) {
-    (*results)[m.slot].algorithm = ContainmentAlgorithm::kCanonicalEnumeration;
-  }
-  LabelId bottom = pool->Fresh("_bot");
-  size_t num_edges = DescendantEdges(p).size();
-  std::optional<uint64_t> total =
-      CanonicalLengthEnumerator(num_edges, bound).TotalCountExact();
-  const uint64_t chunk =
-      std::max<uint64_t>(1, static_cast<uint64_t>(std::max<int64_t>(
-                                0, group_ctx->config().parallel_chunk)));
-  const uint64_t max_parallel_total =
-      static_cast<uint64_t>(std::numeric_limits<int64_t>::max()) - chunk;
-  if (!options.sequential_sweep && group_ctx->threads() > 1 &&
-      total.has_value() &&
-      *total >= static_cast<uint64_t>(group_ctx->config().parallel_threshold) &&
-      *total <= max_parallel_total) {
-    GroupParallelSweep(p, members, mode, bottom, num_edges, bound, *total,
-                       chunk, pool, options, group_ctx, results);
-    return;
-  }
-  GroupSequentialSweep(p, members, mode, bottom, num_edges, bound, pool,
-                       options, group_ctx, results);
-}
-
 }  // namespace
 
 ContainmentResult CanonicalContainment(const Tpq& p, const Tpq& q, Mode mode,
                                        LabelPool* pool, EngineContext* ctx,
                                        const ContainmentOptions& options) {
-  LabelId bottom = pool->Fresh("_bot");
-  int32_t bound = CanonicalBound(q, options.bound);
-  size_t num_edges = DescendantEdges(p).size();
-  std::optional<uint64_t> total =
-      CanonicalLengthEnumerator(num_edges, bound).TotalCountExact();
-  // Parallelize only when the space is big enough to amortize the chunk
-  // bookkeeping.  Spaces too large to linearize in 64 bits run sequentially
-  // (no budget finishes them anyway) — and so do totals near the int64/uint64
-  // edge, where the chunk-count arithmetic in ParallelSweep would wrap and
-  // sweep only a sliver of the space.
-  const uint64_t chunk =
-      std::max<uint64_t>(1, static_cast<uint64_t>(std::max<int64_t>(
-                                0, ctx->config().parallel_chunk)));
-  const uint64_t max_parallel_total =
-      static_cast<uint64_t>(std::numeric_limits<int64_t>::max()) - chunk;
-  if (!options.sequential_sweep && ctx->threads() > 1 && total.has_value() &&
-      *total >= static_cast<uint64_t>(ctx->config().parallel_threshold) &&
-      *total <= max_parallel_total) {
-    return ParallelSweep(p, q, mode, bottom, num_edges, bound, *total, chunk,
-                         pool, options, ctx);
-  }
-  return SequentialSweep(p, q, mode, bottom, num_edges, bound, pool, options,
-                         ctx);
+  std::vector<ContainmentResult> results(1);
+  CanonicalSweep(p, {SweepMember{0, &q, ctx}}, mode,
+                 CanonicalBound(q, options.bound), pool, ctx, options,
+                 &results);
+  return std::move(results[0]);
 }
 
 ContainmentResult CanonicalContainment(const Tpq& p, const Tpq& q, Mode mode,
@@ -807,8 +539,9 @@ std::vector<ContainmentResult> ContainsGroup(
     sweep_bounds.push_back(CanonicalBound(w.qn, options.bound));
   }
 
-  // Sub-partition the canonical members by bound; singleton partitions fall
-  // back to the solo procedure, larger ones share one enumeration.
+  // Sub-partition the canonical members by bound; each partition shares one
+  // enumeration.  A singleton partition is a solo decision: its shared work
+  // lands on the member's own context, exactly as `CanonicalContainment`.
   std::vector<std::pair<int32_t, std::vector<SweepMember>>> partitions;
   for (size_t i = 0; i < sweepable.size(); ++i) {
     bool placed = false;
@@ -823,17 +556,15 @@ std::vector<ContainmentResult> ContainsGroup(
   }
   EngineStats& gstats = group_ctx->stats();
   for (auto& part : partitions) {
-    if (part.second.size() == 1) {
-      const SweepMember& m = part.second[0];
-      results[m.slot] =
-          CanonicalContainment(*pw, *m.qn, Mode::kWeak, pool, m.ctx, options);
-      continue;
+    EngineContext* sweep_ctx = part.second[0].ctx;
+    if (part.second.size() > 1) {
+      sweep_ctx = group_ctx;
+      gstats.sweep_groups_formed.fetch_add(1, std::memory_order_relaxed);
+      gstats.sweep_group_members.fetch_add(
+          static_cast<int64_t>(part.second.size()), std::memory_order_relaxed);
     }
-    gstats.sweep_groups_formed.fetch_add(1, std::memory_order_relaxed);
-    gstats.sweep_group_members.fetch_add(
-        static_cast<int64_t>(part.second.size()), std::memory_order_relaxed);
-    CanonicalContainmentGroup(*pw, part.second, Mode::kWeak, part.first, pool,
-                              group_ctx, options, &results);
+    CanonicalSweep(*pw, part.second, Mode::kWeak, part.first, pool, sweep_ctx,
+                   options, &results);
   }
 
   if (mode == Mode::kStrong && !p.IsWildcard(0)) {

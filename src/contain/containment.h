@@ -147,26 +147,32 @@ struct GroupMember {
 
 /// Decides L(p) ⊆ L(q_i) for every member against ONE shared
 /// enumeration-side pattern p.  Members that the dispatcher routes to a
-/// fragment-specific P algorithm (or whose chain-length bound differs) are
-/// decided exactly as `Contains` would; the canonical-route members with
-/// equal bound are swept together — each canonical tree of p is built once
-/// and evaluated against every still-undecided member, and a member retires
-/// at its first counterexample or budget trip (the undecided mask).  Strong
-/// mode applies the Observation 2.3 root relabelling once for the whole
-/// group.  Shared work (tree builds, enumeration) is accounted on
-/// `group_ctx`; `group_ctx` also provides the thread pool for the chunked
-/// parallel sweep.  Results are indexed like `members`.  With
-/// `options.grouped_sweep` false this is exactly one `Contains` call per
-/// member (the A/B twin).
+/// fragment-specific P algorithm are decided exactly as `Contains` would;
+/// the canonical-route members are partitioned by chain-length bound and
+/// each partition runs the one canonical sweep — each canonical tree of p is
+/// built once and evaluated against every still-undecided member, and a
+/// member retires at its first counterexample or budget trip (the undecided
+/// mask).  Strong mode applies the Observation 2.3 root relabelling once for
+/// the whole group.  Shared work (tree builds, enumeration) of a partition
+/// with several members is accounted on `group_ctx`, which also provides
+/// the thread pool for the chunked parallel sweep; a singleton partition is
+/// the solo `CanonicalContainment` call, on the member's own context.
+/// Results are indexed like `members`.  With `options.grouped_sweep` false
+/// this is exactly one `Contains` call per member (the A/B twin).
 std::vector<ContainmentResult> ContainsGroup(
     const Tpq& p, const std::vector<GroupMember>& members, Mode mode,
     LabelPool* pool, EngineContext* group_ctx,
     const ContainmentOptions& options = {});
 
 /// The general canonical-model procedure (sound and complete for all
-/// fragments; exponential in the number of descendant edges of p).  With
-/// `ctx->threads() > 1` the length-vector space is partitioned into chunks
-/// swept in parallel, with early exit on the first counterexample.
+/// fragments; exponential in the number of descendant edges of p).  This is
+/// the canonical sweep of `ContainsGroup` run as a group of one, with `ctx`
+/// as its group context: every counter and budget charge lands on `ctx`.
+/// Sequentially the sweep is one chunk that runs to the end of the
+/// enumeration; with `ctx->threads() > 1` (and a space of at least
+/// `parallel_threshold` vectors) the length-vector space is partitioned
+/// into chunks swept in parallel, with early exit on the first
+/// counterexample.
 ContainmentResult CanonicalContainment(const Tpq& p, const Tpq& q, Mode mode,
                                        LabelPool* pool, EngineContext* ctx,
                                        const ContainmentOptions& options = {});

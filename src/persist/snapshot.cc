@@ -110,6 +110,28 @@ bool Fail(std::string* error, const std::string& reason) {
   return false;
 }
 
+// Smallest encoding of one record per section (8-byte aligned, as written):
+// an empty label spelling, a one-node tree (six 4-byte columns), a one-node
+// pattern (24-byte header + 9 bytes of columns), a verdict without witness,
+// and a hot-program entry.
+constexpr uint64_t kMinLabelBytes = 8;
+constexpr uint64_t kMinTreeBytes = 32;
+constexpr uint64_t kMinPatternBytes = 40;
+constexpr uint64_t kMinVerdictBytes = 24;
+constexpr uint64_t kMinHotProgramBytes = 8;
+
+/// The section counts sit in the header, outside the payload checksum, so a
+/// corrupt count must be bounded by what the rest of the payload can hold
+/// before it sizes an allocation.
+bool CountFits(const Cursor& cur, uint32_t count, uint64_t min_record_bytes,
+               const char* section, std::string* error) {
+  if (count <= (cur.size - cur.off) / min_record_bytes) return true;
+  return Fail(error, std::string(section) + " count " + std::to_string(count) +
+                         " exceeds what the remaining " +
+                         std::to_string(cur.size - cur.off) +
+                         " payload bytes can hold");
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -381,6 +403,9 @@ bool SnapshotReader::Validate(std::string* error) {
              static_cast<uint64_t>(mapped_bytes_) - kHeaderBytes};
 
   // Labels: spellings in id order; id 0 must be the wildcard.
+  if (!CountFits(cur, label_count_, kMinLabelBytes, "label", error)) {
+    return false;
+  }
   labels_.reserve(label_count_);
   for (uint32_t i = 0; i < label_count_; ++i) {
     uint32_t len;
@@ -393,6 +418,9 @@ bool SnapshotReader::Validate(std::string* error) {
   if (labels_[0] != "*") return Fail(error, "label id 0 is not the wildcard");
 
   // Trees: six columns each, then the full invariant check.
+  if (!CountFits(cur, tree_count, kMinTreeBytes, "tree", error)) {
+    return false;
+  }
   trees_.reserve(tree_count);
   for (uint32_t i = 0; i < tree_count; ++i) {
     uint32_t n, pad;
@@ -429,6 +457,9 @@ bool SnapshotReader::Validate(std::string* error) {
   }
 
   // Patterns.
+  if (!CountFits(cur, pat_count, kMinPatternBytes, "pattern", error)) {
+    return false;
+  }
   patterns_.reserve(pat_count);
   for (uint32_t i = 0; i < pat_count; ++i) {
     uint32_t n, pad;
@@ -474,6 +505,9 @@ bool SnapshotReader::Validate(std::string* error) {
   }
 
   // Verdicts.
+  if (!CountFits(cur, verdict_count, kMinVerdictBytes, "verdict", error)) {
+    return false;
+  }
   verdicts_.reserve(verdict_count);
   for (uint32_t i = 0; i < verdict_count; ++i) {
     VerdictRecord rec;
@@ -511,6 +545,9 @@ bool SnapshotReader::Validate(std::string* error) {
   }
 
   // Hot programs.
+  if (!CountFits(cur, hot_count, kMinHotProgramBytes, "hot-program", error)) {
+    return false;
+  }
   hot_programs_.reserve(hot_count);
   for (uint32_t i = 0; i < hot_count; ++i) {
     SnapshotHotProgram rec;

@@ -6,7 +6,10 @@
 // charges on sequential sweeps), counterexample length vectors on
 // deterministic configurations, and witness validity on parallel ones.
 // 500 random instances across group sizes 1/4/16, both modes, and
-// 1/2/4-thread group contexts.
+// 1/2/4-thread group contexts.  Because solo and grouped decisions run the
+// same sweep loop, the sequential core also checks every swept member
+// against a naive reference sweep that shares none of the engine's sweep
+// machinery.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +23,7 @@
 #include "engine/engine.h"
 #include "gen/random_instances.h"
 #include "match/embedding.h"
+#include "pattern/canonical.h"
 #include "reductions/hardness_families.h"
 #include "service/query_service.h"
 
@@ -69,9 +73,33 @@ ConpGroupPatterns MakeConpGroupPatterns(LabelPool* pool) {
   return out;
 }
 
+/// Naive reference for the canonical-model sweep: walks the length vectors
+/// of p's descendant edges up to the safe bound |q|+1 in enumeration order,
+/// builds each canonical tree from scratch and decides it with a fresh
+/// scalar-kernel `Matcher`.  Returns the first counterexample's length
+/// vector, or nullopt when q matches every canonical model (contained).
+/// Strong mode matches root-to-root on p's own models, which is what the
+/// engine's Observation 2.3 relabelling decides.
+std::optional<std::vector<int32_t>> NaiveFirstCounterexample(
+    const Tpq& p, const Tpq& q, Mode mode, LabelPool* pool) {
+  const LabelId bot = pool->Fresh("_oracle_bot");
+  CanonicalLengthEnumerator lengths(DescendantEdges(p).size(),
+                                    static_cast<int32_t>(q.size()) + 1);
+  do {
+    const Tree t = CanonicalTree(p, lengths.lengths(), bot);
+    Matcher matcher(q, t, /*stats=*/nullptr, /*word_parallel=*/false);
+    const bool matched =
+        mode == Mode::kStrong ? matcher.MatchesStrong() : matcher.MatchesWeak();
+    if (!matched) return lengths.lengths();
+  } while (lengths.Next());
+  return std::nullopt;
+}
+
 // The 500-instance core: sequential grouped decisions must be
 // indistinguishable from solo ones — verdict, outcome, reason, selected
-// algorithm, counterexample lengths AND the member's own step charges.
+// algorithm, counterexample lengths AND the member's own step charges —
+// and every member the sweep decided must agree with the naive reference
+// on its verdict and first counterexample.
 TEST(GroupAgreementTest, GroupedAgreesWithIndependentOver500Instances) {
   LabelPool pool;
   std::mt19937 rng(47);
@@ -84,6 +112,7 @@ TEST(GroupAgreementTest, GroupedAgreesWithIndependentOver500Instances) {
   const int sizes[] = {1, 4, 16};
   int members_checked = 0;
   int not_contained = 0;
+  int oracle_checked = 0;
   for (int trial = 0; members_checked < 500; ++trial) {
     const int group_size = sizes[trial % 3];
     popts.size = 3 + trial % 5;
@@ -131,10 +160,21 @@ TEST(GroupAgreementTest, GroupedAgreesWithIndependentOver500Instances) {
       EXPECT_EQ(member_ctxs[static_cast<size_t>(j)]->budget().steps_used(),
                 solo_ctx.budget().steps_used())
           << "trial " << trial << " member " << j;
+      if (g.algorithm == ContainmentAlgorithm::kCanonicalEnumeration) {
+        const std::optional<std::vector<int32_t>> naive =
+            NaiveFirstCounterexample(p, qs[static_cast<size_t>(j)], mode,
+                                     &pool);
+        ASSERT_EQ(g.contained, !naive.has_value())
+            << "trial " << trial << " member " << j;
+        EXPECT_EQ(g.counterexample_lengths, naive)
+            << "trial " << trial << " member " << j;
+        ++oracle_checked;
+      }
       ++members_checked;
     }
   }
   EXPECT_GT(not_contained, 40);  // the sample must exercise both verdicts
+  EXPECT_GT(oracle_checked, 100);  // and the sweep itself, many times
 }
 
 // Parallel grouped sweeps: verdicts must match the sequential solo
