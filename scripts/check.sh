@@ -13,11 +13,14 @@
 #                                    asan AND tsan (leaks + races of every
 #                                    injected-fault unwind path)
 #   scripts/check.sh layout          the columnar-layout gate: the TreeView
-#                                    property sweep, the word-parallel vs
-#                                    scalar agreement suite and the matcher
-#                                    property suite under asan AND ubsan
-#                                    (out-of-bounds column reads and shift
-#                                    UB in the fold kernels)
+#                                    property sweep (full and resumed
+#                                    index), the word-parallel vs scalar
+#                                    agreement suite, the matcher property
+#                                    suite and the whole-enumeration sweep
+#                                    suites (incremental, Table 1) under
+#                                    asan AND ubsan (out-of-bounds column
+#                                    reads, shift UB in the fold kernels,
+#                                    the resumed index's arithmetic)
 #   scripts/check.sh compile         the pattern-compilation gate: the
 #                                    compiled-vs-generic agreement suite and
 #                                    the program-cache suite under asan AND
@@ -53,7 +56,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 FAULT_TESTS='fault_injection_test|exhaustion_audit_test|parser_mutation_test|service_fault_test|serve_fault_test'
-LAYOUT_TESTS='tree_view_test|word_parallel_agreement_test|matcher_property_test'
+LAYOUT_TESTS='tree_view_test|word_parallel_agreement_test|matcher_property_test|incremental_sweep_test|table1_sweep_test'
 COMPILE_TESTS='compiled_agreement_test|program_cache_test'
 PERSIST_TESTS='snapshot_roundtrip_test|lattice_agreement_test|service_fault_test'
 SERVE_TESTS='serve_protocol_test|serve_scheduler_test|serve_fault_test'

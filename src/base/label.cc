@@ -1,6 +1,7 @@
 #include "base/label.h"
 
 #include <atomic>
+#include <utility>
 
 namespace tpc {
 
@@ -19,6 +20,8 @@ LabelPool::LabelPool(LabelPool&& other) noexcept {
   names_ = std::move(other.names_);
   ids_ = std::move(other.ids_);
   fresh_counter_ = other.fresh_counter_;
+  bottom_ = std::exchange(other.bottom_, kNoLabel);
+  root_mark_ = std::exchange(other.root_mark_, kNoLabel);
   // The generation travels with the mapping; the moved-from pool is a new
   // (empty) mapping and must not keep answering for the old identity.
   generation_ = other.generation_;
@@ -31,6 +34,8 @@ LabelPool& LabelPool::operator=(LabelPool&& other) noexcept {
   names_ = std::move(other.names_);
   ids_ = std::move(other.ids_);
   fresh_counter_ = other.fresh_counter_;
+  bottom_ = std::exchange(other.bottom_, kNoLabel);
+  root_mark_ = std::exchange(other.root_mark_, kNoLabel);
   generation_ = other.generation_;
   other.generation_ = NextGeneration();
   return *this;
@@ -47,7 +52,12 @@ LabelId LabelPool::InternLocked(std::string_view name) {
 
 LabelId LabelPool::Intern(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
-  return InternLocked(name);
+  const LabelId id = InternLocked(name);
+  // The caller may put `id` into a pattern: a reserved label must stay out
+  // of every pattern it is used to decide, so retire it.
+  if (id == bottom_) bottom_ = kNoLabel;
+  if (id == root_mark_) root_mark_ = kNoLabel;
+  return id;
 }
 
 LabelId LabelPool::Find(std::string_view name) const {
@@ -70,16 +80,31 @@ size_t LabelPool::size() const {
 
 LabelId LabelPool::Fresh(std::string_view prefix) {
   std::lock_guard<std::mutex> lock(mu_);
+  return FreshLocked(prefix);
+}
+
+LabelId LabelPool::FreshLocked(std::string_view prefix) {
   std::string candidate(prefix);
   if (ids_.count(candidate) == 0) return InternLocked(candidate);
-  // Numeric suffixes keep Fresh amortized O(1) even when called once per
-  // decision on a long-lived pool (the containment procedures mint a fresh
-  // bottom label per call).
+  // Numeric suffixes keep Fresh amortized O(1) on a long-lived pool whose
+  // earlier spellings already took the plain prefix.
   while (true) {
     std::string numbered =
         candidate + "'" + std::to_string(fresh_counter_++);
     if (ids_.count(numbered) == 0) return InternLocked(numbered);
   }
+}
+
+LabelId LabelPool::Bottom() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (bottom_ == kNoLabel) bottom_ = FreshLocked("_bot");
+  return bottom_;
+}
+
+LabelId LabelPool::RootMark() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (root_mark_ == kNoLabel) root_mark_ = FreshLocked("_root");
+  return root_mark_;
 }
 
 }  // namespace tpc

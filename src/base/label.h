@@ -30,10 +30,21 @@ inline constexpr LabelId kNoLabel = UINT32_MAX;
 /// Owns the mapping between label spellings and dense `LabelId`s.
 ///
 /// Thread-safe: the service layer fans one batch out over pool workers that
-/// each mint fresh bottom/root labels mid-decision, so interning takes an
-/// internal mutex.  Hot loops never touch the pool — they compare `LabelId`s
-/// — so the lock sits on parse/setup paths only.  Spellings are stored in a
-/// deque: the reference returned by `Name` stays valid across later interns.
+/// parse patterns and fetch the reserved bottom/root labels mid-decision, so
+/// the pool takes an internal mutex.  Hot loops never touch the pool — they
+/// compare `LabelId`s — so the lock sits on parse/setup paths only.
+/// Spellings are stored in a deque: the reference returned by `Name` stays
+/// valid across later interns.
+///
+/// The pool reserves two labels for the containment procedures: the bottom
+/// letter ⊥ of canonical trees and the root mark of the Observation 2.3
+/// strong-to-weak reduction.  Each is minted once (like `Fresh`) and reused
+/// by every later decision, so a long-lived pool does not grow per decision.
+/// Soundness needs only that a reserved label occurs in no pattern being
+/// decided; patterns get their labels through `Intern` (or `Fresh`), and an
+/// `Intern` that returns a current reserved id retires it, so the next
+/// decision mints a new one.  Reserved labels are interned by name like any
+/// other, so label tables (snapshots) round-trip them.
 class LabelPool {
  public:
   LabelPool();
@@ -60,6 +71,14 @@ class LabelPool {
   /// far; spelled `prefix`, `prefix'`, `prefix''`, ... until fresh.
   LabelId Fresh(std::string_view prefix);
 
+  /// The reserved bottom letter ⊥ (spelled `_bot`, `_bot'0`, ...): distinct
+  /// from every label interned before the call and from `RootMark()`.
+  LabelId Bottom();
+
+  /// The reserved root mark (spelled `_root`, ...): distinct from every
+  /// label interned before the call and from `Bottom()`.
+  LabelId RootMark();
+
   /// Process-unique identity of this pool's id ↔ spelling mapping.  Two
   /// pools never share a generation, and moving a pool moves the generation
   /// *with the mapping* (the moved-from pool gets a fresh one).  Caches keyed
@@ -71,6 +90,7 @@ class LabelPool {
 
  private:
   LabelId InternLocked(std::string_view name);
+  LabelId FreshLocked(std::string_view prefix);
   static uint64_t NextGeneration();
 
   mutable std::mutex mu_;
@@ -78,6 +98,8 @@ class LabelPool {
   std::unordered_map<std::string, LabelId> ids_;
   uint64_t fresh_counter_ = 0;
   uint64_t generation_ = 0;
+  LabelId bottom_ = kNoLabel;     // kNoLabel: mint on next Bottom()
+  LabelId root_mark_ = kNoLabel;  // kNoLabel: mint on next RootMark()
 };
 
 }  // namespace tpc

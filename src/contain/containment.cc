@@ -166,7 +166,7 @@ void CanonicalSweep(const Tpq& p, const std::vector<SweepMember>& members,
   for (const SweepMember& m : members) {
     (*results)[m.slot].algorithm = ContainmentAlgorithm::kCanonicalEnumeration;
   }
-  const LabelId bottom = pool->Fresh("_bot");
+  const LabelId bottom = pool->Bottom();
   const size_t num_edges = DescendantEdges(p).size();
   const size_t n = members.size();
   EngineStats& gstats = group_ctx->stats();
@@ -302,24 +302,25 @@ ContainmentResult ContainsImpl(const Tpq& p, const Tpq& q, Mode mode,
     // Observation 2.3, schema-free case.  If q's root is a letter that p's
     // root cannot be forced to match, strong containment fails outright
     // (witness: any canonical tree of p).  Otherwise relabel both roots with
-    // a fresh letter and decide weak containment.
+    // the pool's root mark (a letter in neither pattern) and decide weak
+    // containment.
     if (!q.IsWildcard(0) && (p.IsWildcard(0) || p.Label(0) != q.Label(0))) {
       ContainmentResult result;
       result.contained = false;
       result.counterexample =
-          MinimalCanonicalTree(p, pool->Fresh("_bot"));
+          MinimalCanonicalTree(p, pool->Bottom());
       result.counterexample_lengths =
           std::vector<int32_t>(DescendantEdges(p).size(), 0);
       result.algorithm = ContainmentAlgorithm::kMinimalCanonical;
       return result;
     }
-    LabelId fresh_root = pool->Fresh("_root");
+    LabelId root_mark = pool->RootMark();
     ContainmentResult result =
-        ContainsImpl(WithRootLabel(p, fresh_root),
-                     WithRootLabel(q, fresh_root), Mode::kWeak, pool, ctx,
+        ContainsImpl(WithRootLabel(p, root_mark),
+                     WithRootLabel(q, root_mark), Mode::kWeak, pool, ctx,
                      options);
     if (result.counterexample.has_value() && !p.IsWildcard(0)) {
-      // Translate the counterexample back: its root carries the fresh label
+      // Translate the counterexample back: its root carries the root mark
       // introduced by the reduction; restore p's root label (still outside
       // L_s(q): any strong embedding of q would induce one of the relabeled
       // pattern into the relabeled tree).
@@ -360,7 +361,7 @@ ContainmentResult ContainsImpl(const Tpq& p, const Tpq& q, Mode mode,
       if (!result.contained) {
         std::vector<int32_t> ones(DescendantEdges(p).size(), 1);
         result.counterexample =
-            CanonicalTree(p, ones, pool->Fresh("_bot"));
+            CanonicalTree(p, ones, pool->Bottom());
         result.counterexample_lengths = std::move(ones);
       }
       return result;
@@ -372,7 +373,7 @@ ContainmentResult ContainsImpl(const Tpq& p, const Tpq& q, Mode mode,
       // preserves labels and ancestorship — all q needs).
       ContainmentResult result;
       result.algorithm = ContainmentAlgorithm::kMinimalCanonical;
-      Tree t = MinimalCanonicalTree(p, pool->Fresh("_bot"));
+      Tree t = MinimalCanonicalTree(p, pool->Bottom());
       stats.canonical_trees_enumerated.fetch_add(1,
                                                  std::memory_order_relaxed);
       if (!ctx->budget().Charge(TreeCost(qn, t))) {
@@ -392,7 +393,7 @@ ContainmentResult ContainsImpl(const Tpq& p, const Tpq& q, Mode mode,
       // Theorems 3.1(2) / 3.2(4): p has a unique canonical tree.
       ContainmentResult result;
       result.algorithm = ContainmentAlgorithm::kSingleCanonical;
-      Tree t = MinimalCanonicalTree(p, pool->Fresh("_bot"));
+      Tree t = MinimalCanonicalTree(p, pool->Bottom());
       stats.canonical_trees_enumerated.fetch_add(1,
                                                  std::memory_order_relaxed);
       if (!ctx->budget().Charge(TreeCost(qn, t))) {
@@ -489,8 +490,8 @@ std::vector<ContainmentResult> ContainsGroup(
   std::optional<Tpq> p_weak_storage;
   const Tpq* pw = &p;
   if (mode == Mode::kStrong) {
-    const LabelId fresh_root = pool->Fresh("_root");
-    p_weak_storage.emplace(WithRootLabel(p, fresh_root));
+    const LabelId root_mark = pool->RootMark();
+    p_weak_storage.emplace(WithRootLabel(p, root_mark));
     pw = &*p_weak_storage;
     for (size_t i = 0; i < members.size(); ++i) {
       const Tpq& q = *members[i].q;
@@ -500,14 +501,14 @@ std::vector<ContainmentResult> ContainsGroup(
         // canonical tree of p — the solo dispatcher's fast fail.
         ContainmentResult& r = results[i];
         r.contained = false;
-        r.counterexample = MinimalCanonicalTree(p, pool->Fresh("_bot"));
+        r.counterexample = MinimalCanonicalTree(p, pool->Bottom());
         r.counterexample_lengths =
             std::vector<int32_t>(DescendantEdges(p).size(), 0);
         r.algorithm = ContainmentAlgorithm::kMinimalCanonical;
         continue;
       }
       weak.push_back(
-          {i, Normalize(WithRootLabel(q, fresh_root)), members[i].ctx});
+          {i, Normalize(WithRootLabel(q, root_mark)), members[i].ctx});
     }
   } else {
     for (size_t i = 0; i < members.size(); ++i) {

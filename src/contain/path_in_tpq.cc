@@ -64,7 +64,7 @@ class PathInTpqSolver {
  public:
   PathInTpqSolver(const Tpq& q, LabelPool* pool, EngineContext* ctx)
       : q_(Normalize(q)), pool_(pool), ctx_(ctx),
-        bottom_(pool->Fresh("_bot")) {}
+        bottom_(pool->Bottom()) {}
 
   /// Decides L_w(p) ⊆ L_w(subquery_q(x)) for a path query p.  Bails out
   /// (returning false) once the engine budget is exhausted; the dispatcher

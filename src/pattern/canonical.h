@@ -78,8 +78,10 @@ class CanonicalTreeBuilder {
   void BuildFull(const std::vector<int32_t>& lengths, Tree* out);
 
   /// Truncates `*out` to the prefix unaffected by spines >= `first_changed`
-  /// and re-emits the rest.  Precondition: the previous `Build*` call on the
-  /// same `*out` used lengths agreeing on every spine < `first_changed`.
+  /// and re-emits the rest; the next `out->View()` then resumes the postorder
+  /// index, re-indexing only the open path of the cut and the new suffix.
+  /// Precondition: the previous `Build*` call on the same `*out` used lengths
+  /// agreeing on every spine < `first_changed`.
   void BuildSuffix(const std::vector<int32_t>& lengths, size_t first_changed,
                    Tree* out);
 

@@ -74,18 +74,28 @@ std::shared_ptr<const QueryService::MinimizedEntry> QueryService::Minimized(
   // A budget-exhausted minimization is equivalent but possibly incomplete;
   // keep it out of the memo so a later, funded request re-minimizes.
   if (!ctx->budget().Exhausted()) {
-    const int64_t bytes =
-        96 + static_cast<int64_t>(entry->pattern.size()) * 32;
     std::lock_guard<std::mutex> lock(minimize_mu_);
     auto it = minimize_memo_.find(memo_key);
     if (it != minimize_memo_.end()) return it->second;
-    if (memo_tracked_.Charge(bytes)) {
-      minimize_memo_.emplace(memo_key, entry);
-    } else {
-      memo_tracked_.Release(bytes);
-    }
+    MemoInsertLocked(memo_key, entry);
   }
   return entry;
+}
+
+void QueryService::MemoInsertLocked(
+    uint64_t memo_key, std::shared_ptr<const MinimizedEntry> entry) {
+  const int64_t bytes = 96 + static_cast<int64_t>(entry->pattern.size()) * 32;
+  // One entry per distinct raw pattern: a stream that never repeats would
+  // grow the memo without end, so flush it whole at the cache's bound.
+  if (memo_tracked_.charged() + bytes > options_.cache_bytes) {
+    minimize_memo_.clear();
+    memo_tracked_.ReleaseAll();
+  }
+  if (memo_tracked_.Charge(bytes)) {
+    minimize_memo_.emplace(memo_key, std::move(entry));
+  } else {
+    memo_tracked_.Release(bytes);
+  }
 }
 
 std::vector<std::vector<int32_t>> QueryService::ProbesFor(
@@ -101,6 +111,12 @@ void QueryService::RecordProbe(const ProbeKey& key,
   const int64_t bytes =
       48 + static_cast<int64_t>(lengths.size()) * sizeof(int32_t);
   std::lock_guard<std::mutex> lock(probe_mu_);
+  // One book per distinct refuted q: flushed whole at the cache's bound,
+  // like the minimize memo.
+  if (probe_tracked_.charged() + bytes > options_.cache_bytes) {
+    probe_book_.clear();
+    probe_tracked_.ReleaseAll();
+  }
   if (!probe_tracked_.Charge(bytes)) {
     probe_tracked_.Release(bytes);
     return;
@@ -132,14 +148,9 @@ void QueryService::SeedMinimized(const Tpq& pattern, const TpqDigest& digest,
   entry->pattern = pattern;
   entry->hash = digest.lo;
   entry->digest = digest;
-  const int64_t bytes = 96 + static_cast<int64_t>(pattern.size()) * 32;
   std::lock_guard<std::mutex> lock(minimize_mu_);
   if (minimize_memo_.find(memo_key) != minimize_memo_.end()) return;
-  if (memo_tracked_.Charge(bytes)) {
-    minimize_memo_.emplace(memo_key, std::move(entry));
-  } else {
-    memo_tracked_.Release(bytes);
-  }
+  MemoInsertLocked(memo_key, std::move(entry));
 }
 
 std::shared_ptr<const MatcherProgram> QueryService::PooledProgram(
@@ -384,7 +395,7 @@ ContainmentResult QueryService::DecideOne(const Tpq& p, const Tpq& q,
       auto ws = ctx->scratch().Acquire<MatcherWorkspace>();
       auto exec = ctx->scratch().Acquire<ProgramExec>();
       for (std::vector<int32_t>& lengths : probes) {
-        Tree t = CanonicalTree(*pp, lengths, pool_->Fresh("_bot"));
+        Tree t = CanonicalTree(*pp, lengths, pool_->Bottom());
         stats.canonical_trees_enumerated.fetch_add(1,
                                                    std::memory_order_relaxed);
         if (!ctx->budget().Charge(

@@ -79,6 +79,9 @@ struct ServiceOptions {
   /// Shards of the verdict cache (contention knob, not capacity).
   size_t cache_shards = 8;
   /// Byte bound of the verdict cache, accounted against the context budget.
+  /// It also bounds, each on its own, the minimize memo and the probe book
+  /// (one entry per distinct pattern), which are flushed whole when the next
+  /// entry would pass it.
   int64_t cache_bytes = 4 << 20;
   /// Max remembered counterexample length vectors per (q-hash, mode).
   size_t probe_pool_limit = 4;
@@ -266,6 +269,11 @@ class QueryService {
   /// load), so warm requests whose raw form is already minimal skip the
   /// minimization pass entirely.
   void SeedMinimized(const Tpq& pattern, const TpqDigest& digest, Mode mode);
+
+  /// Inserts a memo entry under `minimize_mu_`, flushing the memo first when
+  /// the entry would pass the `cache_bytes` bound.
+  void MemoInsertLocked(uint64_t memo_key,
+                        std::shared_ptr<const MinimizedEntry> entry);
 
   /// Compiles-or-fetches the pooled program for a minimized pattern (the
   /// shared hotness-gated path of the probe cascade and the mapped-tree

@@ -28,7 +28,7 @@ std::optional<Tree> ReplayRefutation(const Tpq& p, const Tpq& q, Mode mode,
   // that q fails to match is a sound refutation, so padding with 1 (a one-⊥
   // chain) keeps the probe well-formed instead of rejecting it.
   lengths.resize(DescendantEdges(p).size(), 1);
-  Tree t = CanonicalTree(p, lengths, pool->Fresh("_bot"));
+  Tree t = CanonicalTree(p, lengths, pool->Bottom());
   ctx->stats().canonical_trees_enumerated.fetch_add(1,
                                                     std::memory_order_relaxed);
   Tpq qn = Normalize(q);

@@ -12,13 +12,21 @@ NodeId Tree::AddRoot(LabelId label) {
   first_child_.push_back(kNoNode);
   next_sibling_.push_back(kNoNode);
   last_child_.push_back(kNoNode);
-  ++version_;
+  InvalidateIndex();
   return 0;
 }
 
 NodeId Tree::AddChild(NodeId parent, LabelId label) {
   assert(parent >= 0 && parent < size());
   NodeId v = size();
+  // A new rightmost child of `parent` lands just before `parent` in
+  // postorder: every position below `parent`'s stays where it was.
+  if (columns_version_ == version_) {
+    resume_cut_ = v;
+    resume_finished_ = post_of_[parent];
+  } else if (parent < resume_cut_) {
+    resume_finished_ = std::min(resume_finished_, post_of_[parent]);
+  }
   labels_.push_back(label);
   parents_.push_back(parent);
   first_child_.push_back(kNoNode);
@@ -84,11 +92,26 @@ void Tree::TruncateTo(int32_t new_size) {
     if (last_child_[parent] >= new_size) last_child_[parent] = v;
     v = parent;
   }
+  // The removed ids are node `new_size`'s subtree and everything right of
+  // it, so every position left of its span survives — when that node was
+  // indexed: the columns are current, or it predates the lowest earlier cut
+  // (then the cut also drops every append since, restoring the indexed
+  // tree's prefix exactly).  A cut at or above the lowest one removes only
+  // appended nodes and keeps the resume point.
+  if (columns_version_ == version_ || new_size < resume_cut_) {
+    const int32_t pos = post_of_[new_size];
+    resume_cut_ = new_size;
+    resume_finished_ = pos - size_at_post_[pos] + 1;
+  }
   ++version_;
 }
 
-void Tree::RebuildPostorder() const {
+void Tree::IndexPostorder() const {
   const int32_t n = size();
+  // Positions [0, finished) hold unchanged subtrees and stay as they are;
+  // a full rebuild is the case cut = finished = 0.
+  const int32_t cut = resume_cut_;
+  const int32_t finished = resume_finished_;
   post_of_.resize(n);
   node_at_post_.resize(n);
   size_at_post_.resize(n);
@@ -98,7 +121,11 @@ void Tree::RebuildPostorder() const {
   // Mirror-preorder emitted at descending positions is postorder: pop v,
   // place it at the highest free slot, push its children left-to-right so
   // subtrees are visited rightmost-first.  Read ascending, the result lists
-  // every child subtree left-to-right before its parent.
+  // every child subtree left-to-right before its parent.  Finished subtrees
+  // (indexed ids whose stale position is below `finished`) are skipped:
+  // every ancestor of a re-indexed node is re-indexed too and appends go
+  // right of all finished nodes, so the rest lands exactly in
+  // [finished, n).
   dfs_stack_.clear();
   dfs_stack_.push_back(0);
   int32_t next = n - 1;
@@ -110,16 +137,22 @@ void Tree::RebuildPostorder() const {
     label_at_post_[next] = labels_[v];
     --next;
     for (NodeId c = first_child_[v]; c != kNoNode; c = next_sibling_[c]) {
-      dfs_stack_.push_back(c);
+      if (c >= cut || post_of_[c] >= finished) dfs_stack_.push_back(c);
     }
   }
-  assert(next == -1 && "postorder pass must visit every node");
-  // Subtree sizes in one reverse pass over ids (parents precede children),
-  // using the DFS stack buffer as by-id scratch before scattering into
-  // postorder coordinates.
-  dfs_stack_.assign(n, 1);
-  for (NodeId v = n - 1; v >= 1; --v) dfs_stack_[parents_[v]] += dfs_stack_[v];
-  for (NodeId v = 0; v < n; ++v) size_at_post_[post_of_[v]] = dfs_stack_[v];
+  assert(next == finished - 1 && "postorder pass must place every node");
+  // Subtree sizes in ascending positions (children before parents): a
+  // subtree's span starts where its first child's span starts.  No id-order
+  // shortcut, so appends need not keep depth-first order.
+  for (int32_t i = finished; i < n; ++i) {
+    const NodeId c = first_child_[node_at_post_[i]];
+    if (c == kNoNode) {
+      size_at_post_[i] = 1;
+    } else {
+      const int32_t pc = post_of_[c];
+      size_at_post_[i] = i - pc + size_at_post_[pc];
+    }
+  }
 }
 
 NodeId Tree::Graft(NodeId parent, const Tree& subtree, NodeId subtree_root) {
@@ -145,6 +178,7 @@ NodeId Tree::Graft(NodeId parent, const Tree& subtree, NodeId subtree_root) {
       queue.emplace_back(c, dst);
     }
   }
+  InvalidateIndex();
   return copied_root;
 }
 

@@ -16,8 +16,18 @@
 // `[i - subtree_size + 1, i]`, so bottom-up dynamic programs (the embedding
 // matcher, NTA runs) stream the tree linearly instead of chasing
 // first-child/next-sibling pointers, and ancestor tests become O(1) span
-// inclusions.  The index is computed lazily by `View()` and invalidated by
-// every mutation; `TreeView` exposes it as raw spans.
+// inclusions.  `TreeView` exposes the index as raw spans.
+//
+// The index is computed lazily by `View()`.  Truncations and appends keep
+// it *resumable*: `TruncateTo(cut)` keeps every position left of the first
+// removed node's span, and `AddChild(parent, ...)` every position below
+// `parent`'s, so the next `View()` keeps the finished subtrees in that
+// postorder prefix and re-indexes only the rest — for the canonical sweep's
+// truncate-then-append-below-the-open-path, just the open path and the
+// rebuilt suffix.  Repeated mutations resume from the lowest surviving
+// prefix; an append below a finished node just lowers it.  `SetLabel`,
+// `Clear`, `AddRoot` and `Graft` fall back to a full rebuild.  Either way
+// the columns are identical to a from-scratch index.
 //
 // `View()` is lazy and cached: the *first* call after a mutation writes the
 // cache, so it is not safe to race.  Callers that share a const tree across
@@ -166,7 +176,7 @@ class Tree {
     first_child_.clear();
     next_sibling_.clear();
     last_child_.clear();
-    ++version_;
+    InvalidateIndex();
   }
 
   /// Adds a new rightmost child of `parent`.  Returns its id.
@@ -179,7 +189,8 @@ class Tree {
   /// the cut, which this repairs in O(depth).  `CanonicalTreeBuilder` emits
   /// trees this way; trees built in other orders must not be truncated.
   /// Debug builds validate the precondition (`IsDfsOrdered`) and abort on
-  /// violation instead of silently corrupting sibling links.
+  /// violation instead of silently corrupting sibling links.  The next
+  /// `View()` resumes the postorder index from the cut (file header).
   void TruncateTo(int32_t new_size);
 
   /// Grafts a copy of `subtree` as a new rightmost child of `parent`
@@ -193,7 +204,7 @@ class Tree {
   LabelId Label(NodeId v) const { return labels_[v]; }
   void SetLabel(NodeId v, LabelId label) {
     labels_[v] = label;
-    ++version_;  // the postorder label column mirrors labels_
+    InvalidateIndex();  // the postorder label column mirrors labels_
   }
   NodeId Parent(NodeId v) const { return parents_[v]; }
   NodeId FirstChild(NodeId v) const { return first_child_[v]; }
@@ -201,12 +212,13 @@ class Tree {
   bool IsLeaf(NodeId v) const { return first_child_[v] == kNoNode; }
 
   /// The postorder index over the current tree, computed on first use after
-  /// a mutation and cached (see the thread-safety note in the file header).
-  /// Returned by value — a handful of span pointers — so the view survives
-  /// copies/moves of the `Tree`; its *pointers* are invalidated by the next
-  /// mutation (or destruction) of this tree.
+  /// a mutation — resumed or rebuilt, see the file header — and cached (see
+  /// also the thread-safety note there).  Returned by value — a handful of
+  /// span pointers — so the view survives copies/moves of the `Tree`; its
+  /// *pointers* are invalidated by the next mutation (or destruction) of
+  /// this tree.
   TreeView View() const {
-    if (columns_version_ != version_) RebuildPostorder();
+    if (columns_version_ != version_) IndexPostorder();
     TreeView view;
     view.labels_ = labels_.data();
     view.parent_ = parents_.data();
@@ -261,7 +273,12 @@ class Tree {
  private:
   bool EqualsUnorderedAt(NodeId v, const Tree& other, NodeId w) const;
   void AppendTerm(NodeId v, const LabelPool& pool, std::string* out) const;
-  void RebuildPostorder() const;
+  void IndexPostorder() const;
+  void InvalidateIndex() {
+    resume_cut_ = 0;
+    resume_finished_ = 0;
+    ++version_;
+  }
 
   // Creation-order columns (index = node id).
   std::vector<LabelId> labels_;
@@ -270,16 +287,22 @@ class Tree {
   std::vector<NodeId> next_sibling_;
   std::vector<NodeId> last_child_;  // for O(1) AddChild
 
-  // Derived postorder columns, rebuilt lazily by View().  `version_` bumps
+  // Derived postorder columns, indexed lazily by View().  `version_` bumps
   // on every mutation; `columns_version_` records the version the cache was
-  // built at.  Mutable: View() is logically const.
+  // built at.  While they differ, the stale columns still hold for every
+  // node id below `resume_cut_` (the ids that were indexed and never
+  // truncated since) at a position below `resume_finished_`, and the next
+  // View() re-indexes only the rest; both 0 means a full rebuild.
+  // Mutable: View() is logically const.
   mutable std::vector<int32_t> post_of_;      // node id -> postorder position
   mutable std::vector<NodeId> node_at_post_;  // postorder position -> node id
   mutable std::vector<int32_t> size_at_post_;  // subtree size, by position
   mutable std::vector<LabelId> label_at_post_;  // label, by position
-  mutable std::vector<NodeId> dfs_stack_;       // RebuildPostorder scratch
+  mutable std::vector<NodeId> dfs_stack_;       // IndexPostorder scratch
   mutable uint64_t columns_version_ = 0;
   uint64_t version_ = 1;
+  int32_t resume_cut_ = 0;
+  int32_t resume_finished_ = 0;
 };
 
 }  // namespace tpc

@@ -151,5 +151,77 @@ TEST(IncrementalSweepTest, ReusesAtLeastHalfTheDpCells) {
                 std::memory_order_relaxed));
 }
 
+/// Asserts two views carry identical columns.
+void ExpectSameView(const TreeView& got, const TreeView& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (int32_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got.labels()[i], want.labels()[i]) << "node " << i;
+    ASSERT_EQ(got.parent()[i], want.parent()[i]) << "node " << i;
+    ASSERT_EQ(got.post_of()[i], want.post_of()[i]) << "node " << i;
+    ASSERT_EQ(got.node_at_post()[i], want.node_at_post()[i]) << "pos " << i;
+    ASSERT_EQ(got.size_at_post()[i], want.size_at_post()[i]) << "pos " << i;
+    ASSERT_EQ(got.label_at_post()[i], want.label_at_post()[i])
+        << "pos " << i;
+  }
+}
+
+/// Walks the whole length-vector space the way one sweep chunk does — one
+/// scratch tree, `BuildSuffix` from the first changed spine, a `View()` per
+/// tree, so every view after the first is a resumed index — and checks each
+/// against the view of the same canonical tree built from scratch.
+void CheckResumedViewsOverEnumeration(const Tpq& p, int32_t max_len,
+                                      LabelId bottom) {
+  const size_t num_edges = DescendantEdges(p).size();
+  CanonicalLengthEnumerator lengths(num_edges, max_len);
+  CanonicalTreeBuilder builder(p, bottom);
+  Tree scratch;
+  bool first = true;
+  do {
+    if (first) {
+      builder.BuildFull(lengths.lengths(), &scratch);
+      first = false;
+    } else {
+      builder.BuildSuffix(lengths.lengths(), lengths.first_changed(),
+                          &scratch);
+    }
+    const Tree reference = CanonicalTree(p, lengths.lengths(), bottom);
+    ExpectSameView(scratch.View(), reference.View());
+    if (::testing::Test::HasFatalFailure()) {
+      ADD_FAILURE() << "lengths "
+                    << ::testing::PrintToString(lengths.lengths());
+      return;
+    }
+  } while (lengths.Next());
+}
+
+TEST(IncrementalSweepTest, ResumedViewsMatchScratchOnConpFamily) {
+  LabelPool pool;
+  ConpFamilyInstance inst = BuildConpFamily(5, &pool);
+  // 7^5 = 16807 canonical trees, every spine boundary crossed.
+  CheckResumedViewsOverEnumeration(inst.p, 6, pool.Bottom());
+}
+
+TEST(IncrementalSweepTest, ResumedViewsMatchScratchOnRandomPatterns) {
+  LabelPool pool;
+  std::mt19937 rng(1357);
+  std::vector<LabelId> labels = MakeLabels(3, &pool);
+  const LabelId bottom = pool.Bottom();
+  int swept = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    RandomTpqOptions popts;
+    popts.labels = labels;
+    popts.fragment = fragments::kTpqFull;
+    popts.size = 3 + trial % 8;
+    Tpq p = RandomTpq(popts, &rng);
+    if (DescendantEdges(p).empty()) continue;
+    ++swept;
+    CheckResumedViewsOverEnumeration(p, 1 + trial % 3, bottom);
+    if (HasFatalFailure() || HasNonfatalFailure()) {
+      FAIL() << "pattern " << p.ToString(pool);
+    }
+  }
+  EXPECT_GT(swept, 150);
+}
+
 }  // namespace
 }  // namespace tpc

@@ -1,17 +1,23 @@
 // Unit tests of the query-service fast path: cache keying through
 // minimization + canonical hashing, sound replay of cached refutations,
-// prefilter accepts/refutes, batch dedup/fan-out, and the byte bound.
+// prefilter accepts/refutes, batch dedup/fan-out, the byte bounds, and the
+// reserved bottom/root labels (no per-decision minting, no aliasing).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "base/label.h"
 #include "contain/containment.h"
 #include "engine/engine.h"
+#include "gen/random_instances.h"
 #include "match/embedding.h"
 #include "pattern/tpq.h"
+#include "pattern/tpq_parser.h"
 #include "reductions/hardness_families.h"
 #include "service/query_service.h"
 
@@ -253,6 +259,142 @@ TEST(QueryServiceTest, TinyByteBoundForcesEvictions) {
   EXPECT_GT(Stat(&ctx, &EngineStats::cache_evictions), 0);
   // The bound keeps tracked bytes in check, visible through the budget.
   EXPECT_GT(ctx.budget().bytes_peak(), 0);
+}
+
+/// A random TPQ(/,//,*) pattern over `labels`, sized 4..7.
+Tpq RandomPattern(const std::vector<LabelId>& labels, int i,
+                  std::mt19937* rng) {
+  RandomTpqOptions opts;
+  opts.labels = labels;
+  opts.fragment = fragments::kTpqFull;
+  opts.size = 4 + i % 4;
+  return RandomTpq(opts, rng);
+}
+
+TEST(QueryServiceTest, MemoAndProbeBookStayUnderTheCacheBound) {
+  LabelPool pool;
+  EngineContext ctx;
+  ServiceOptions options;
+  options.cache_bytes = 4096;
+  options.lattice_bytes = 4096;
+  options.program_cache_bytes = 4096;
+  QueryService service(&pool, &ctx, options);
+  std::mt19937 rng(2468);
+  const std::vector<LabelId> labels = MakeLabels(12, &pool);
+  ContainmentOptions reference;
+  reference.force_canonical = true;
+  // Decision scratch lands on the request context, so the service context
+  // holds only the shared layers: verdict cache, lattice, program pool,
+  // minimize memo and probe book.
+  EngineContext request_ctx;
+  EngineContext reference_ctx;
+  int64_t peak = 0;
+  int refuted = 0;
+  for (int i = 0; i < 400; ++i) {
+    const Tpq p = RandomPattern(labels, i, &rng);
+    const Tpq q = RandomPattern(labels, i / 4, &rng);
+    const Mode mode = i % 3 == 0 ? Mode::kStrong : Mode::kWeak;
+    ContainmentResult got = service.ContainsFor(p, q, mode, &request_ctx);
+    ContainmentResult want =
+        Contains(p, q, mode, &pool, &reference_ctx, reference);
+    ASSERT_EQ(got.outcome, Outcome::kDecided);
+    ASSERT_EQ(want.outcome, Outcome::kDecided);
+    ASSERT_EQ(got.contained, want.contained)
+        << p.ToString(pool) << " in " << q.ToString(pool);
+    refuted += got.contained ? 0 : 1;
+    peak = std::max(peak, ctx.budget().bytes_used());
+  }
+  EXPECT_GT(refuted, 100);
+  // Unbounded, the memo alone would hold 800 distinct raw patterns at
+  // 96 + 32 bytes per node; each layer keeps to its own bound instead.
+  EXPECT_LE(peak, 3 * options.cache_bytes + options.lattice_bytes +
+                      options.program_cache_bytes);
+}
+
+TEST(QueryServiceTest, ConpMixDecisionsMintNoLabels) {
+  LabelPool pool;
+  EngineContext ctx;
+  QueryService service(&pool, &ctx);
+  std::mt19937 rng(97);
+  const std::vector<LabelId> labels = MakeLabels(8, &pool);
+  const ConpFamilyInstance family = BuildConpFamily(3, &pool);
+  // Runs of four pairs sharing p, as the heavy tenant sends them: coNP
+  // family runs and random TPQ(/,//,*) runs, weak and strong.
+  std::vector<std::vector<QueryService::BatchItem>> runs;
+  for (int run = 0; run < 50; ++run) {
+    const Mode mode = run % 2 == 0 ? Mode::kWeak : Mode::kStrong;
+    const Tpq p = run % 5 == 0 ? family.p : RandomPattern(labels, run, &rng);
+    std::vector<QueryService::BatchItem> items;
+    for (int k = 0; k < 4; ++k) {
+      Tpq q = run % 5 == 0 ? (k % 2 == 0 ? family.q_yes : family.q_no)
+                           : RandomPattern(labels, k, &rng);
+      items.push_back({p, std::move(q), mode});
+    }
+    runs.push_back(std::move(items));
+  }
+  // Warm-up: one weak and one strong sweep mint the reserved labels.
+  for (Mode mode : {Mode::kWeak, Mode::kStrong}) {
+    ASSERT_EQ(service.Contains(family.p, family.q_yes, mode).outcome,
+              Outcome::kDecided);
+  }
+  const size_t warm_size = pool.size();
+  int decided = 0;
+  for (const auto& items : runs) {
+    for (const ContainmentResult& r : service.ContainsBatch(items)) {
+      ASSERT_EQ(r.outcome, Outcome::kDecided);
+      ++decided;
+    }
+  }
+  EXPECT_EQ(decided, 200);
+  EXPECT_EQ(pool.size(), warm_size);
+}
+
+/// Patterns spelling the pool's current reserved names intern to the
+/// reserved ids themselves; the pool must retire them so the decisions use
+/// labels outside both patterns.  Each pair is not contained, but would be
+/// decided "contained" if ⊥ (or the root mark) aliased a pattern label.
+TEST(QueryServiceTest, PatternsSpellingReservedNamesDecideSoundly) {
+  LabelPool pool;
+  EngineContext ctx;
+  QueryService service(&pool, &ctx);
+  const ConpFamilyInstance family = BuildConpFamily(2, &pool);
+  service.Contains(family.p, family.q_no, Mode::kWeak);
+  service.Contains(family.p, family.q_no, Mode::kStrong);
+  const LabelId bottom = pool.Bottom();
+  const LabelId root_mark = pool.RootMark();
+  const std::string bot = pool.Name(bottom);
+  const std::string root = pool.Name(root_mark);
+  struct Pair {
+    std::string p, q;
+    Mode mode;
+  };
+  const std::vector<Pair> pairs = {
+      // Single canonical tree a(⊥(c)).
+      {"a/*/c", "a/" + bot + "/c", Mode::kWeak},
+      // Every canonical tree has ⊥ above c: the full sweep.
+      {"a[b]//*/c", "*[b]//" + bot + "/c", Mode::kWeak},
+      // Observation 2.3: q's root may land on p's inner root-mark node.
+      {"a/" + root + "/b", "*/b", Mode::kStrong},
+  };
+  ContainmentOptions reference;
+  reference.force_canonical = true;
+  for (const Pair& pair : pairs) {
+    const Tpq p = MustParseTpq(pair.p, &pool);
+    const Tpq q = MustParseTpq(pair.q, &pool);
+    const ContainmentResult got = service.Contains(p, q, pair.mode);
+    LabelPool fresh_pool;
+    const ContainmentResult want =
+        Contains(MustParseTpq(pair.p, &fresh_pool),
+                 MustParseTpq(pair.q, &fresh_pool), pair.mode, &fresh_pool,
+                 reference);
+    ASSERT_EQ(got.outcome, Outcome::kDecided) << pair.p << " in " << pair.q;
+    ASSERT_EQ(want.outcome, Outcome::kDecided);
+    EXPECT_FALSE(want.contained) << pair.p << " in " << pair.q;
+    EXPECT_EQ(got.contained, want.contained) << pair.p << " in " << pair.q;
+  }
+  // Interning the spellings retired both reserved labels.
+  EXPECT_NE(pool.Bottom(), bottom);
+  EXPECT_NE(pool.RootMark(), root_mark);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Property sweep: the postorder index exposed by `Tree::View()` against
 // reference pointer traversals (FirstChild/NextSibling/Parent chains), on
 // 1k random trees plus adversarial shapes — deep chains, wide stars, and
-// DFS-built trees truncated mid-enumeration.
+// DFS-built trees truncated mid-enumeration — and the resumed index against
+// a full rebuild over long truncate-and-append histories.
 
 #include "tree/tree.h"
 
@@ -163,6 +164,114 @@ TEST(TreeViewPropertyTest, TruncatedTrees) {
     GrowDfs(&t, t.size() - 1, &more, &rng, labels);
     CheckViewAgainstPointers(t);
   }
+}
+
+/// A structurally identical tree built from nothing, so its first `View()`
+/// is a full rebuild: ids are re-created in order (parents precede
+/// children) and `AddChild` appends rightmost, so sibling order matches too.
+Tree FreshCopy(const Tree& t) {
+  Tree out;
+  for (NodeId v = 0; v < t.size(); ++v) {
+    if (v == 0) {
+      out.AddRoot(t.Label(0));
+    } else {
+      out.AddChild(t.Parent(v), t.Label(v));
+    }
+  }
+  return out;
+}
+
+/// Asserts `t`'s (possibly resumed) view equals a full rebuild, column by
+/// column, and agrees with the pointer traversals.
+void CheckViewAgainstRebuild(const Tree& t) {
+  const Tree ref = FreshCopy(t);
+  const TreeView got = t.View();
+  const TreeView want = ref.View();
+  ASSERT_EQ(got.size(), want.size());
+  for (int32_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got.post_of()[i], want.post_of()[i]) << "node " << i;
+    ASSERT_EQ(got.node_at_post()[i], want.node_at_post()[i]) << "pos " << i;
+    ASSERT_EQ(got.size_at_post()[i], want.size_at_post()[i]) << "pos " << i;
+    ASSERT_EQ(got.label_at_post()[i], want.label_at_post()[i]) << "pos " << i;
+  }
+  CheckViewAgainstPointers(t);
+}
+
+/// The resumable index on one long-lived tree: many rounds of truncate (one
+/// or several cuts, with or without a view in between), then appends below
+/// random open-path nodes — the canonical sweep's pattern — mixed with
+/// appends below arbitrary nodes (finished subtrees; these break
+/// depth-first order), appends right after a view with no cut, `SetLabel`
+/// and `Clear`.  After every round each column must equal a full rebuild.
+TEST(TreeViewPropertyTest, ResumedIndexMatchesFullRebuild) {
+  LabelPool pool;
+  std::vector<LabelId> labels = MakeLabels(3, &pool);
+  std::mt19937 rng(4242);
+  auto coin = [&rng](int percent) {
+    return std::uniform_int_distribution<int>(0, 99)(rng) < percent;
+  };
+  auto uniform = [&rng](int32_t lo, int32_t hi) {
+    return std::uniform_int_distribution<int32_t>(lo, hi)(rng);
+  };
+  auto label = [&]() { return labels[uniform(0, 2)]; };
+  auto grow_fresh = [&](Tree* t) {
+    t->Clear();
+    t->AddRoot(label());
+    int32_t remaining = uniform(0, 40);
+    GrowDfs(t, 0, &remaining, &rng, labels);
+  };
+  // Appends `k` nodes, each below a random ancestor-or-self of the last
+  // node (keeps depth-first order) or, with `wild`, below any node.
+  auto append = [&](Tree* t, int32_t k, bool wild) {
+    for (int32_t i = 0; i < k; ++i) {
+      NodeId parent;
+      if (wild && coin(30)) {
+        parent = uniform(0, t->size() - 1);
+      } else {
+        std::vector<NodeId> open_path;
+        for (NodeId u = t->size() - 1; u != kNoNode; u = t->Parent(u)) {
+          open_path.push_back(u);
+        }
+        parent = open_path[uniform(0, static_cast<int32_t>(open_path.size()) -
+                                          1)];
+      }
+      t->AddChild(parent, label());
+    }
+  };
+  Tree t;
+  grow_fresh(&t);
+  int non_dfs_rounds = 0;
+  for (int round = 0; round < 3000; ++round) {
+    if (!t.IsDfsOrdered()) {
+      ++non_dfs_rounds;
+      grow_fresh(&t);  // TruncateTo needs depth-first order
+    }
+    if (coin(80)) t.View();
+    const int shape = uniform(0, 5);
+    if (shape == 0) {
+      // Appends after a view, no cut.
+      append(&t, uniform(1, 6), /*wild=*/coin(50));
+    } else {
+      t.TruncateTo(uniform(1, t.size()));
+      if (shape == 1) {
+        // A second cut before any view: lower, or at/above the first.
+        t.TruncateTo(uniform(1, t.size()));
+      } else if (shape == 2) {
+        // Append, cut again, append: the lowest cut must win.
+        append(&t, uniform(1, 4), /*wild=*/false);
+        t.TruncateTo(uniform(1, t.size()));
+      }
+      append(&t, uniform(0, 8), /*wild=*/shape == 3);
+    }
+    if (coin(5)) t.SetLabel(uniform(0, t.size() - 1), label());
+    if (coin(2)) grow_fresh(&t);
+    CheckViewAgainstRebuild(t);
+    if (HasFatalFailure()) {
+      FAIL() << "round " << round << ": " << t.ToString(pool);
+    }
+  }
+  // The wild appends must actually have broken depth-first order.
+  EXPECT_GT(non_dfs_rounds, 50);
 }
 
 TEST(TreeViewPropertyTest, ClearResetsView) {
