@@ -5,10 +5,10 @@
 // The acceptance criteria this suite pins:
 //
 //   * BM_Group_Sweep/N vs BM_Group_Independent/N — N coalesced members over
-//     the coNP family's enumeration-side pattern, grouped vs the
-//     `--no-group-sweep` twin.  The exported `rebuilds_per_decision`
-//     counter (trees_rebuilt_from_spine / member decisions) falls with N
-//     grouped and stays flat independent.
+//     the coNP family's enumeration-side pattern, one `ContainsGroup` call
+//     vs one independent `Contains` call per member.  The exported
+//     `rebuilds_per_decision` counter (trees_rebuilt_from_spine / member
+//     decisions) falls with N grouped and stays flat independent.
 //   * BM_Group_AmortizationFloor — both modes inside one benchmark at group
 //     size 8: `rebuild_reduction` (independent / grouped rebuilds per
 //     decision) must be >= 5x, and the two modes must agree on every
@@ -170,6 +170,27 @@ int64_t TotalStat(const EngineContext& group_ctx,
   return total;
 }
 
+/// Decides the first `ctxs.size()` members of `w`: one `ContainsGroup` call,
+/// or (`grouped` false) a plain loop of independent `Contains` calls, each
+/// on the member's own context.
+std::vector<ContainmentResult> DecideMembers(
+    GroupWorkload& w, bool grouped, EngineContext* group_ctx,
+    const std::vector<std::unique_ptr<EngineContext>>& ctxs) {
+  std::vector<ContainmentResult> results;
+  if (!grouped) {
+    for (size_t i = 0; i < ctxs.size(); ++i) {
+      results.push_back(
+          Contains(w.p, w.qs[i], Mode::kWeak, &w.pool, ctxs[i].get()));
+    }
+    return results;
+  }
+  std::vector<GroupMember> members;
+  for (size_t i = 0; i < ctxs.size(); ++i) {
+    members.push_back({&w.qs[i], ctxs[i].get()});
+  }
+  return ContainsGroup(w.p, members, Mode::kWeak, &w.pool, group_ctx);
+}
+
 void RunGroupSweep(benchmark::State& state, bool grouped, int refuted) {
   const int size = static_cast<int>(state.range(0));
   GroupWorkload w(refuted);
@@ -177,8 +198,6 @@ void RunGroupSweep(benchmark::State& state, bool grouped, int refuted) {
     state.SkipWithError("workload setup failed");
     return;
   }
-  ContainmentOptions options;
-  options.grouped_sweep = grouped;
   EngineContext group_ctx;
   std::vector<std::unique_ptr<EngineContext>> member_ctxs;
   for (int i = 0; i < size; ++i) {
@@ -186,13 +205,8 @@ void RunGroupSweep(benchmark::State& state, bool grouped, int refuted) {
   }
   int64_t decisions = 0;
   for (auto _ : state) {
-    std::vector<GroupMember> members;
-    for (int i = 0; i < size; ++i) {
-      members.push_back({&w.qs[static_cast<size_t>(i)], member_ctxs
-                             [static_cast<size_t>(i)].get()});
-    }
     std::vector<ContainmentResult> results =
-        ContainsGroup(w.p, members, Mode::kWeak, &w.pool, &group_ctx, options);
+        DecideMembers(w, grouped, &group_ctx, member_ctxs);
     for (int i = 0; i < size; ++i) {
       const ContainmentResult& r = results[static_cast<size_t>(i)];
       if (r.outcome != Outcome::kDecided ||
@@ -263,9 +277,6 @@ void BM_Group_AmortizationFloor(benchmark::State& state) {
     state.SkipWithError("workload setup failed");
     return;
   }
-  ContainmentOptions grouped_opts;   // grouped_sweep = true (default)
-  ContainmentOptions twin_opts;
-  twin_opts.grouped_sweep = false;
   EngineContext grouped_group_ctx, twin_group_ctx;
   std::vector<std::unique_ptr<EngineContext>> grouped_ctxs, twin_ctxs;
   for (int i = 0; i < kSize; ++i) {
@@ -274,20 +285,10 @@ void BM_Group_AmortizationFloor(benchmark::State& state) {
   }
   int64_t decisions = 0;
   for (auto _ : state) {
-    std::vector<GroupMember> grouped_members, twin_members;
-    for (int i = 0; i < kSize; ++i) {
-      grouped_members.push_back(
-          {&w.qs[static_cast<size_t>(i)], grouped_ctxs[static_cast<size_t>(i)]
-               .get()});
-      twin_members.push_back(
-          {&w.qs[static_cast<size_t>(i)], twin_ctxs[static_cast<size_t>(i)]
-               .get()});
-    }
-    std::vector<ContainmentResult> grouped = ContainsGroup(
-        w.p, grouped_members, Mode::kWeak, &w.pool, &grouped_group_ctx,
-        grouped_opts);
-    std::vector<ContainmentResult> twin = ContainsGroup(
-        w.p, twin_members, Mode::kWeak, &w.pool, &twin_group_ctx, twin_opts);
+    std::vector<ContainmentResult> grouped = DecideMembers(
+        w, /*grouped=*/true, &grouped_group_ctx, grouped_ctxs);
+    std::vector<ContainmentResult> twin =
+        DecideMembers(w, /*grouped=*/false, &twin_group_ctx, twin_ctxs);
     for (int i = 0; i < kSize; ++i) {
       const ContainmentResult& g = grouped[static_cast<size_t>(i)];
       const ContainmentResult& t = twin[static_cast<size_t>(i)];

@@ -33,6 +33,13 @@
 namespace tpc {
 namespace {
 
+/// A total summed over the benchmark's iterations, reported per decision
+/// (every iteration decides exactly one instance).
+benchmark::Counter PerDecision(int64_t total) {
+  return benchmark::Counter(static_cast<double>(total),
+                            benchmark::Counter::kAvgIterations);
+}
+
 // ------------------------------------------------- P cells (Theorem 6.1)
 
 void BM_P_PathInPathNoWildcard(benchmark::State& state) {
@@ -63,12 +70,12 @@ void BM_P_PathInPathNoWildcard(benchmark::State& state) {
     SchemaDecision r = ContainedWithDtd(ps[i % ps.size()], qs[i % qs.size()],
                                         Mode::kWeak, dtd, &ctx);
     benchmark::DoNotOptimize(r.yes);
-    configs = r.configurations;
+    configs += r.configurations;
     ++i;
   }
   state.counters["pattern_nodes"] = size;
-  state.counters["engine_configs"] = static_cast<double>(configs);
-  state.counters["horizontal_nodes"] = static_cast<double>(
+  state.counters["engine_configs"] = PerDecision(configs);
+  state.counters["horizontal_nodes"] = PerDecision(
       ctx.stats().horizontal_nodes.load(std::memory_order_relaxed));
 }
 BENCHMARK(BM_P_PathInPathNoWildcard)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
@@ -96,16 +103,16 @@ void BM_P_PathInPathViaAutomata(benchmark::State& state) {
     qs.push_back(RandomTpq(qopts, &rng));
   }
   size_t i = 0;
-  int32_t states = 0;
+  int64_t states = 0;
   for (auto _ : state) {
     AutomataContainmentResult r = ContainedPathInPathViaAutomata(
         ps[i % ps.size()], qs[i % qs.size()], Mode::kWeak, dtd);
     benchmark::DoNotOptimize(r.contained);
-    states = r.product_states;
+    states += r.product_states;
     ++i;
   }
   state.counters["pattern_nodes"] = size;
-  state.counters["product_states"] = states;
+  state.counters["product_states"] = PerDecision(states);
 }
 BENCHMARK(BM_P_PathInPathViaAutomata)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
 
@@ -139,7 +146,7 @@ void BM_P_PathInTpqNoWildcardStrong(benchmark::State& state) {
     ++i;
   }
   state.counters["pattern_nodes"] = size;
-  state.counters["det_states"] = static_cast<double>(
+  state.counters["det_states"] = PerDecision(
       ctx.stats().det_states_materialized.load(std::memory_order_relaxed));
 }
 BENCHMARK(BM_P_PathInTpqNoWildcardStrong)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
@@ -164,14 +171,14 @@ void BM_CoNP_BranchingLeftFixedDtd(benchmark::State& state) {
     SchemaDecision r =
         ContainedWithDtd(sat.p, q, Mode::kStrong, sat.dtd, &ctx);
     benchmark::DoNotOptimize(r.yes);
-    configs = r.configurations;
+    configs += r.configurations;
     if (!r.yes) {
       state.SkipWithError("containment must hold: left side unsatisfiable");
       return;
     }
   }
   state.counters["pattern_nodes"] = sat.p.size();
-  state.counters["engine_configs"] = static_cast<double>(configs);
+  state.counters["engine_configs"] = PerDecision(configs);
 }
 BENCHMARK(BM_CoNP_BranchingLeftFixedDtd)
     ->Unit(benchmark::kMillisecond)->Iterations(1);
@@ -206,20 +213,20 @@ void RunTilingInstance(benchmark::State& state, int32_t row_len,
     SchemaDecision r = ContainedWithDtd(inst.p, inst.q, Mode::kWeak, inst.dtd,
                                         &ctx, limits, options);
     benchmark::DoNotOptimize(r.yes);
-    configs = r.configurations;
+    configs += r.configurations;
     decided = r.decided;
     yes = r.yes;
   }
   state.counters["row_len_n"] = row_len;
   state.counters["q_nodes"] = inst.q.size();
-  state.counters["engine_configs"] = static_cast<double>(configs);
-  state.counters["horizontal_nodes"] = static_cast<double>(
+  state.counters["engine_configs"] = PerDecision(configs);
+  state.counters["horizontal_nodes"] = PerDecision(
       ctx.stats().horizontal_nodes.load(std::memory_order_relaxed));
-  state.counters["configs_subsumed"] = static_cast<double>(
+  state.counters["configs_subsumed"] = PerDecision(
       ctx.stats().configs_subsumed.load(std::memory_order_relaxed));
-  state.counters["unions_memoized"] = static_cast<double>(
+  state.counters["unions_memoized"] = PerDecision(
       ctx.stats().unions_memoized.load(std::memory_order_relaxed));
-  state.counters["state_sets_interned"] = static_cast<double>(
+  state.counters["state_sets_interned"] = PerDecision(
       ctx.stats().state_sets_interned.load(std::memory_order_relaxed));
   state.counters["decided"] = decided ? 1 : 0;
   if (decided) {

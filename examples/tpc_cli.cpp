@@ -12,13 +12,17 @@
 // Batch mode decides one containment pair per line of <file> ("<p> <q>
 // [weak|strong]"; blank lines and #-comments skipped) through the query
 // service (src/service): canonical-hash verdict cache, prefilter cascade,
-// duplicate folding, and a parallel fan-out under --threads.  One verdict is
+// duplicate folding, a parallel fan-out under --threads, and one grouped
+// canonical-model sweep per enumeration-side pattern for the pairs no
+// fast-path layer answers.  One verdict is
 // printed per line; the exit status is 0 when every pair was decided
 // (regardless of verdicts), 3 when any was undecided.
 //
 // Flags (anywhere on the command line):
 //   --stats          print the engine's instrumentation counters as JSON
-//                    (includes steps/bytes used and the exhaustion reason)
+//                    (includes steps/bytes used and the exhaustion reason);
+//                    a batch run first prints one coalescing summary line
+//                    (groups formed, mean size, early-retire rate)
 //   --batch <file>   decide many pairs through the query service
 //   --no-cache       batch A/B: disable minimize+hash+verdict-cache layer
 //   --no-prefilter   batch A/B: disable homomorphism/probe prefilters
@@ -32,13 +36,6 @@
 //   --no-compile     never lower patterns to flat matcher programs
 //                    (src/compile/); always use the generic embedding DP
 //                    (A/B: verdicts must be identical)
-//   --no-group-sweep batch A/B: decide every pair by an independent
-//                    containment call instead of grouping pairs that share
-//                    the enumeration-side pattern into one canonical-model
-//                    sweep (verdicts and attribution must be identical);
-//                    with --stats the batch run also prints one coalescing
-//                    summary line (groups formed, mean size, early-retire
-//                    rate) before the counter JSON
 //   --fault-exhaust-at <n> / --fault-alloc-at <k> / --fault-cancel-at <n>
 //                    deterministic fault injection (chaos drills): force
 //                    budget exhaustion at the nth charge, fail the kth
@@ -125,9 +122,6 @@ int Usage() {
                "  --no-antichain   disable schema-engine subsumption pruning\n"
                "  --no-word-parallel  scalar embedding-DP fill (A/B)\n"
                "  --no-compile     disable compiled matcher programs (A/B)\n"
-               "  --no-group-sweep batch: decide pairs independently instead\n"
-               "                   of sharing one canonical sweep per\n"
-               "                   enumeration-side pattern (A/B)\n"
                "  --fault-exhaust-at <n>  force exhaustion at the nth charge\n"
                "  --fault-alloc-at <k>    fail the kth tracked allocation\n"
                "  --fault-cancel-at <n>   cancel at the nth charge\n");
@@ -221,9 +215,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--no-compile") == 0) {
       contain_options.compiled_matcher = false;
       service_options.containment.compiled_matcher = false;
-    } else if (std::strcmp(argv[i], "--no-group-sweep") == 0) {
-      contain_options.grouped_sweep = false;
-      service_options.containment.grouped_sweep = false;
     } else if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc) {
       batch_file = argv[++i];
     } else if (std::strcmp(argv[i], "--no-cache") == 0) {

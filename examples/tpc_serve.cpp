@@ -27,8 +27,6 @@
 //   --group-window <n>  coalesce up to n same-tenant requests sharing the
 //                       head's (pattern p, mode) key into one grouped
 //                       canonical sweep at dequeue (default 4; 1 disables)
-//   --no-group-sweep    A/B twin: window 1 AND independent containment
-//                       calls inside the service (grouped_sweep off)
 //   --fault-exhaust-at / --fault-alloc-at / --fault-cancel-at <n>
 //                       per-worker deterministic fault injection (drills)
 //
@@ -70,7 +68,6 @@ int Usage() {
       "  --no-cache | --no-prefilter | --no-lattice | --no-compile\n"
       "  --group-window <n>     coalescing window for the grouped sweep\n"
       "                         (default 4; 1 disables)\n"
-      "  --no-group-sweep       window 1 + independent containment calls\n"
       "  --fault-exhaust-at <n> | --fault-alloc-at <k> | --fault-cancel-at "
       "<n>\n");
   return 2;
@@ -176,9 +173,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--group-window") == 0) {
       options.group_window = static_cast<int>(
           ParseCountOrDie("--group-window", next("--group-window")));
-    } else if (std::strcmp(argv[i], "--no-group-sweep") == 0) {
-      options.group_window = 1;
-      service_options.containment.grouped_sweep = false;
     } else if (std::strcmp(argv[i], "--fault-exhaust-at") == 0) {
       options.worker_config.fault_plan.exhaust_at_charge =
           ParseCountOrDie("--fault-exhaust-at", next("--fault-exhaust-at"));

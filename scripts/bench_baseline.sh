@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Records the benchmark baselines: builds the release preset and runs
 #   * bench_table1_containment (the P/coNP grid, the chunked-parallel sweep
-#     and the incremental-sweep A/B — which now also twins the word-parallel
-#     vs scalar DP fill, reporting the `dp_words_folded`/`dp_rows_skipped`
-#     kernel counters) into BENCH_table1.json, and
+#     and the incremental sweep — twinned word-parallel vs scalar DP fill,
+#     reporting the per-decision `dp_cells_filled`/`dp_cells_reused` and
+#     `dp_words_folded`/`dp_rows_skipped` kernel counters) into
+#     BENCH_table1.json, and
 #   * bench_table45_schema_containment (the schema-aware P/coNP/EXPTIME
-#     cells, including the antichain on/off A/B twins) into
-#     BENCH_table45.json, and
+#     cells, including the antichain on/off A/B twins, with every engine
+#     and automata counter per decision) into BENCH_table45.json, and
 #   * bench_service (the query-service fast path: zipf stream baseline vs
 #     cold vs warm cache — the warm run now twinned with a no-compile axis
 #     (BM_Service_ZipfWarmNoCompile) so the compiled matcher programs'
@@ -25,11 +26,12 @@
 #     heap-rebuild twin, and the non-identity remap load: the same snapshot
 #     adopted into a shifted label pool must still serve cache hits with
 #     snapshot_trees_mapped == 0) into BENCH_persist.json, and
-#   * bench_group (the grouped canonical sweep: grouped vs independent
-#     rebuilds-per-decision across group sizes — the in-bench amortization
-#     floor skips-with-error unless the group-of-8 reduction is >= 5x —
-#     the mixed early-retire family, and the daemon coalescing-window
-#     round-trip floor) into BENCH_group.json, and
+#   * bench_group (the grouped canonical sweep: one `ContainsGroup` call vs
+#     a loop of independent `Contains` calls, rebuilds-per-decision across
+#     group sizes — the in-bench amortization floor skips-with-error unless
+#     the group-of-8 reduction is >= 5x — the mixed early-retire family, and
+#     the daemon coalescing-window round-trip floor) into BENCH_group.json,
+#     and
 #   * bench_serve (the daemon under adversarial multi-tenancy: the PTIME
 #     wire floor solo vs with a coNP aggressor window — the in-bench
 #     isolation assert skips-with-error if the light tenant's p95 degrades

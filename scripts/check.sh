@@ -41,17 +41,20 @@
 #                                    (mmap lifetime/out-of-bounds reads over
 #                                    the mapped columns, unaligned-load UB
 #                                    in the record cursors)
-#   scripts/check.sh group           the sweep gate: the 500-instance
-#                                    grouped-vs-independent agreement suite
-#                                    (with its naive reference sweep), the
-#                                    member fault matrix, and the solo sweep
-#                                    suites (incremental A/B, dispatcher
-#                                    routing, compiled agreement) under asan
-#                                    AND tsan (every parallel sweep, solo or
-#                                    grouped, shares one undecided mask
-#                                    across worker threads, and a faulted
-#                                    member's unwind must never touch a
-#                                    groupmate's attribution)
+#   scripts/check.sh group           the dispatcher-and-sweep gate: the
+#                                    500-instance grouped-vs-solo agreement
+#                                    suite (with its naive reference sweep),
+#                                    the member fault matrix, the solo sweep
+#                                    suites (incremental vs the reference,
+#                                    dispatcher routing, compiled agreement)
+#                                    and the service batch suites (every
+#                                    deferred pair goes through
+#                                    ContainsGroup) under asan AND tsan
+#                                    (every parallel sweep, solo or grouped,
+#                                    shares one undecided mask across worker
+#                                    threads, and a faulted member's unwind
+#                                    must never touch a groupmate's
+#                                    attribution)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -60,7 +63,7 @@ LAYOUT_TESTS='tree_view_test|word_parallel_agreement_test|matcher_property_test|
 COMPILE_TESTS='compiled_agreement_test|program_cache_test'
 PERSIST_TESTS='snapshot_roundtrip_test|lattice_agreement_test|service_fault_test'
 SERVE_TESTS='serve_protocol_test|serve_scheduler_test|serve_fault_test'
-GROUP_TESTS='group_agreement_test|group_fault_test|incremental_sweep_test|dispatcher_routing_test|compiled_agreement_test'
+GROUP_TESTS='group_agreement_test|group_fault_test|incremental_sweep_test|dispatcher_routing_test|compiled_agreement_test|service_agreement_test|query_service_test'
 
 run_preset() {
   local preset="$1"; shift
@@ -103,7 +106,7 @@ elif [[ $1 == persist ]]; then
   done
   exit 0
 elif [[ $1 == group ]]; then
-  echo "== sweep gate (agreement, oracle, member faults, solo sweeps under asan + tsan) =="
+  echo "== dispatcher-and-sweep gate (agreement, oracle, member faults, solo sweeps, service batches under asan + tsan) =="
   for preset in asan tsan; do
     run_preset "$preset" -R "$GROUP_TESTS"
   done

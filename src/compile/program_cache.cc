@@ -68,6 +68,21 @@ int64_t ProgramCache::Put(const ProgramKey& key,
   return EvictOverLimitLocked(&shard);
 }
 
+std::shared_ptr<const MatcherProgram> ProgramCache::Fetch(
+    const Tpq& pattern, const ProgramKey& key, bool force,
+    EngineStats* stats) {
+  if (!MatcherProgram::Compilable(pattern)) return nullptr;
+  bool should_compile = false;
+  std::shared_ptr<const MatcherProgram> program = Get(key, &should_compile);
+  if (program != nullptr || !(should_compile || force)) return program;
+  program = MatcherProgram::Compile(pattern, budget_, stats);
+  if (program != nullptr) {
+    stats->program_cache_evictions.fetch_add(Put(key, program),
+                                             std::memory_order_relaxed);
+  }
+  return program;
+}
+
 size_t ProgramCache::resident_programs() const {
   size_t n = 0;
   for (const auto& shard : shards_) {

@@ -19,10 +19,10 @@
 // no program) and resident programs.  `Get` counts a hit and reports — via
 // `should_compile` — when a key has crossed the hotness threshold
 // (`ContainmentOptions::compile_threshold`), at which point the caller
-// compiles and `Put`s.  Canonical-enumeration sweeps bypass the threshold
-// (one sweep executes the program thousands of times, amortizing the
-// compile internally) but still publish through the pool so later requests
-// start warm.
+// compiles and `Put`s; `Fetch` does all three.  Canonical-enumeration
+// sweeps bypass the threshold (one sweep executes the program thousands of
+// times, amortizing the compile internally) but still publish through the
+// pool so later requests start warm.
 //
 // Byte accounting is *soft* end to end: tracker stubs are charged through
 // `TrackedBytes::TryCharge`, and resident programs carry their own
@@ -85,6 +85,16 @@ class ProgramCache {
   /// refused the entry is simply not retained.
   int64_t Put(const ProgramKey& key,
               std::shared_ptr<const MatcherProgram> program);
+
+  /// `Get` and `Put` in one step, the way every caller uses the pool: looks
+  /// `key` up (one hotness hit) and, on a miss, compiles `pattern` against
+  /// `budget()` once the key is hot — or regardless with `force` (sweeps) —
+  /// and publishes the program, booking evictions and the compile on
+  /// `stats`.  Null when `pattern` is not compilable (no hit is counted),
+  /// still cold, or the compile charge was refused.
+  std::shared_ptr<const MatcherProgram> Fetch(const Tpq& pattern,
+                                              const ProgramKey& key,
+                                              bool force, EngineStats* stats);
 
   /// Resident programs (not trackers), over all shards.  O(entries).
   size_t resident_programs() const;

@@ -43,63 +43,28 @@ bool Matches(const Tpq& q, const Tree& t, Mode mode, EngineStats* stats,
                                : matcher.MatchesWeak();
 }
 
-ProgramKey KeyFor(const Tpq& q, Mode mode, LabelPool* pool) {
-  return ProgramKey{CanonicalTpqHash(q), pool->generation(),
-                    static_cast<uint32_t>(mode)};
-}
-
-/// Compiled program for a canonical-enumeration sweep.  Sweeps compile
+/// Compiled program for `q`, or null for the generic DP (disabled, >64
+/// nodes, cold, or the soft compile charge was refused — never an error,
+/// never an exhausted budget).  A canonical-enumeration `sweep` compiles
 /// unconditionally (one sweep executes the program across the whole
-/// length-vector space, amortizing the compile internally), but still go
-/// through `options.program_cache` when one is wired so repeated hot sweeps
-/// skip the compile and later single-tree requests start warm.  Null means:
-/// use the generic DP (disabled, >64 nodes, or the soft compile charge was
-/// refused — never an error, never an exhausted budget).
-std::shared_ptr<const MatcherProgram> SweepProgram(
+/// length-vector space, amortizing the compile internally), through
+/// `options.program_cache` when one is wired so repeated hot sweeps skip the
+/// compile and later single-tree requests start warm.  The single-tree
+/// routes only pay off across *calls*, so they compile once the cache
+/// reports the pattern hot, and never without a cache.
+std::shared_ptr<const MatcherProgram> ProgramFor(
     const Tpq& q, Mode mode, LabelPool* pool, EngineContext* ctx,
-    const ContainmentOptions& options) {
-  if (!options.compiled_matcher || !MatcherProgram::Compilable(q)) {
-    return nullptr;
-  }
-  ProgramCache* cache = options.program_cache;
-  if (cache == nullptr) {
+    const ContainmentOptions& options, bool sweep) {
+  if (!options.compiled_matcher) return nullptr;
+  if (options.program_cache == nullptr) {
     // Uncached program: lives for this sweep only, charged to this context.
-    return MatcherProgram::Compile(q, &ctx->budget(), &ctx->stats());
+    return sweep ? MatcherProgram::Compile(q, &ctx->budget(), &ctx->stats())
+                 : nullptr;
   }
-  const ProgramKey key = KeyFor(q, mode, pool);
-  bool should_compile = false;
-  if (auto program = cache->Get(key, &should_compile)) return program;
-  auto program =
-      MatcherProgram::Compile(q, cache->budget(), &ctx->stats());
-  if (program != nullptr) {
-    ctx->stats().program_cache_evictions.fetch_add(
-        cache->Put(key, program), std::memory_order_relaxed);
-  }
-  return program;
-}
-
-/// Compiled program for the single-tree routes (minimal/single canonical).
-/// Here a compile only pays off across *calls*, so it is gated on the
-/// cache's hotness threshold: no cache, or a key that has not been seen
-/// `compile_threshold` times, means the generic DP.
-std::shared_ptr<const MatcherProgram> HotProgram(
-    const Tpq& q, Mode mode, LabelPool* pool, EngineContext* ctx,
-    const ContainmentOptions& options) {
-  ProgramCache* cache = options.program_cache;
-  if (!options.compiled_matcher || cache == nullptr ||
-      !MatcherProgram::Compilable(q)) {
-    return nullptr;
-  }
-  const ProgramKey key = KeyFor(q, mode, pool);
-  bool should_compile = false;
-  auto program = cache->Get(key, &should_compile);
-  if (program != nullptr || !should_compile) return program;
-  program = MatcherProgram::Compile(q, cache->budget(), &ctx->stats());
-  if (program != nullptr) {
-    ctx->stats().program_cache_evictions.fetch_add(
-        cache->Put(key, program), std::memory_order_relaxed);
-  }
-  return program;
+  const ProgramKey key{CanonicalTpqHash(q), pool->generation(),
+                       static_cast<uint32_t>(mode)};
+  return options.program_cache->Fetch(q, key, /*force=*/sweep,
+                                      &ctx->stats());
 }
 
 /// `Matches` with the compiled fast path in front: when the pattern is hot
@@ -107,7 +72,8 @@ std::shared_ptr<const MatcherProgram> HotProgram(
 /// the soft scratch charge is refused) the generic matcher decides.
 bool MatchesRouted(const Tpq& q, const Tree& t, Mode mode, LabelPool* pool,
                    EngineContext* ctx, const ContainmentOptions& options) {
-  if (auto program = HotProgram(q, mode, pool, ctx, options)) {
+  if (auto program =
+          ProgramFor(q, mode, pool, ctx, options, /*sweep=*/false)) {
     auto exec = ctx->scratch().Acquire<ProgramExec>();
     if (exec->ChargeRun(t, &ctx->budget())) {
       const MatcherProgram::ExecResult r =
@@ -173,8 +139,8 @@ void CanonicalSweep(const Tpq& p, const std::vector<SweepMember>& members,
   // One immutable program per member, shared by every chunk's bank.
   std::vector<std::shared_ptr<const MatcherProgram>> programs(n);
   for (size_t i = 0; i < n; ++i) {
-    programs[i] =
-        SweepProgram(*members[i].qn, mode, pool, members[i].ctx, options);
+    programs[i] = ProgramFor(*members[i].qn, mode, pool, members[i].ctx,
+                             options, /*sweep=*/true);
   }
   std::vector<std::atomic<bool>> undecided(n);
   for (std::atomic<bool>& u : undecided) {
@@ -197,10 +163,10 @@ void CanonicalSweep(const Tpq& p, const std::vector<SweepMember>& members,
 
   // Decides the length vectors [begin, end) of the enumeration order for
   // every undecided member, stopping early once none is left.  Builder,
-  // bank and scratch tree live for the whole chunk, so with
-  // `options.incremental` every tree after the chunk's first rebuilds only
-  // the suffix from the first changed spine and refills only the
-  // invalidated DP columns.
+  // bank and scratch tree live for the whole chunk, so the chunk's first
+  // tree is its only full build: every later one rebuilds only the suffix
+  // from the first changed spine and refills only the invalidated DP
+  // columns.
   auto sweep_chunk = [&](uint64_t begin, uint64_t end) {
     CanonicalLengthEnumerator lengths(num_edges, bound);
     lengths.SeekTo(begin);
@@ -211,8 +177,8 @@ void CanonicalSweep(const Tpq& p, const std::vector<SweepMember>& members,
     for (uint64_t t = begin; live.load(std::memory_order_relaxed) > 0; ++t) {
       gstats.canonical_trees_enumerated.fetch_add(1, std::memory_order_relaxed);
       const size_t first_changed = lengths.first_changed();
-      const bool suffix_only = t > begin && options.incremental &&
-                               first_changed < builder.num_spines();
+      const bool suffix_only =
+          t > begin && first_changed < builder.num_spines();
       if (suffix_only) {
         builder.BuildSuffix(lengths.lengths(), first_changed, &scratch);
         gstats.trees_rebuilt_from_spine.fetch_add(1, std::memory_order_relaxed);
@@ -293,140 +259,180 @@ void CanonicalSweep(const Tpq& p, const std::vector<SweepMember>& members,
   }
 }
 
-ContainmentResult ContainsImpl(const Tpq& p, const Tpq& q, Mode mode,
-                               LabelPool* pool, EngineContext* ctx,
-                               const ContainmentOptions& options) {
-  assert(!p.empty() && !q.empty());
+/// The enumeration side of a decision after the Observation 2.3 reduction
+/// (schema-free case), shared by every member decided against one p.  In
+/// strong mode, if q's root is a letter that p's root cannot be forced to
+/// match, strong containment fails outright (witness: any canonical tree of
+/// p); otherwise both roots are relabelled with the pool's root mark (a
+/// letter in neither pattern) and weak containment decides.  Weak mode
+/// passes p through.  The root mark is fetched — and p relabelled — once,
+/// on the first member that needs the weak phase.
+class WeakPhase {
+ public:
+  WeakPhase(const Tpq& p, Mode mode, LabelPool* pool)
+      : p_(p), strong_(mode == Mode::kStrong), pool_(pool) {}
+
+  /// True when strong containment in `q` fails outright; `result` then
+  /// holds the decision.
+  bool FastFail(const Tpq& q, ContainmentResult* result) const {
+    if (!strong_ || q.IsWildcard(0) ||
+        (!p_.IsWildcard(0) && p_.Label(0) == q.Label(0))) {
+      return false;
+    }
+    result->contained = false;
+    result->counterexample = MinimalCanonicalTree(p_, pool_->Bottom());
+    result->counterexample_lengths =
+        std::vector<int32_t>(DescendantEdges(p_).size(), 0);
+    result->algorithm = ContainmentAlgorithm::kMinimalCanonical;
+    return true;
+  }
+
+  /// The weak-phase enumeration-side pattern.
+  const Tpq& WeakP() {
+    if (!strong_) return p_;
+    if (!relabelled_.has_value()) {
+      relabelled_.emplace(WithRootLabel(p_, RootMark()));
+    }
+    return *relabelled_;
+  }
+
+  /// Fragment of `WeakP()`.
+  const Fragment& fragment() {
+    if (!fragment_.has_value()) fragment_ = FragmentOf(WeakP());
+    return *fragment_;
+  }
+
+  /// The weak-phase evaluation-side pattern: `q`, root-relabelled in strong
+  /// mode, normalized.
+  Tpq WeakQ(const Tpq& q) {
+    return strong_ ? Normalize(WithRootLabel(q, RootMark())) : Normalize(q);
+  }
+
+  /// Translates a weak-phase counterexample back: its root carries the root
+  /// mark introduced by the reduction; restore p's root label (still outside
+  /// L_s(q): any strong embedding of q would induce one of the relabelled
+  /// pattern into the relabelled tree).
+  void TranslateBack(ContainmentResult* result) const {
+    if (strong_ && result->counterexample.has_value() && !p_.IsWildcard(0)) {
+      result->counterexample->SetLabel(0, p_.Label(0));
+    }
+  }
+
+ private:
+  LabelId RootMark() {
+    if (root_mark_ == kNoLabel) root_mark_ = pool_->RootMark();
+    return root_mark_;
+  }
+
+  const Tpq& p_;
+  const bool strong_;
+  LabelPool* const pool_;
+  LabelId root_mark_ = kNoLabel;
+  std::optional<Tpq> relabelled_;
+  std::optional<Fragment> fragment_;
+};
+
+/// Decides weak containment of the weak-phase pair (p, qn) by the first
+/// fragment-specific P procedure that applies, in Table 1 route order:
+/// homomorphism, minimal canonical, single canonical, path-in-TPQ,
+/// child-free-in-TPQ.  False (and `result` untouched) when only the general
+/// canonical sweep applies or `options.force_canonical` demands it.
+bool DecideByRoute(const Tpq& p, const Fragment& fp, const Tpq& qn,
+                   LabelPool* pool, EngineContext* ctx,
+                   const ContainmentOptions& options,
+                   ContainmentResult* result) {
+  if (options.force_canonical) return false;
   EngineStats& stats = ctx->stats();
-  if (mode == Mode::kStrong) {
-    // Observation 2.3, schema-free case.  If q's root is a letter that p's
-    // root cannot be forced to match, strong containment fails outright
-    // (witness: any canonical tree of p).  Otherwise relabel both roots with
-    // the pool's root mark (a letter in neither pattern) and decide weak
-    // containment.
-    if (!q.IsWildcard(0) && (p.IsWildcard(0) || p.Label(0) != q.Label(0))) {
-      ContainmentResult result;
-      result.contained = false;
-      result.counterexample =
-          MinimalCanonicalTree(p, pool->Bottom());
-      result.counterexample_lengths =
+  const Fragment fq = FragmentOf(qn);
+  if (!fq.wildcard) {
+    // For wildcard-free q, an embedding into the canonical tree of p with
+    // every descendant chain instantiated by one ⊥ node can never touch a
+    // ⊥ node, so containment is exactly the existence of a homomorphism
+    // q -> p (Miklau & Suciu; the Theorem 3.1 region).
+    result->algorithm = ContainmentAlgorithm::kHomomorphism;
+    stats.homomorphism_checks.fetch_add(1, std::memory_order_relaxed);
+    if (!ctx->budget().Charge(static_cast<int64_t>(qn.size()) * p.size())) {
+      MarkExhausted(result, ctx);
+      return true;
+    }
+    // The dispatcher can route many pairs here back to back (benchmarks,
+    // minimization loops); a pooled scratch keeps the DP tables alive
+    // across calls while scoping their retention — and their tracked-byte
+    // charge — to this context rather than to the thread.
+    auto scratch = ctx->scratch().Acquire<HomomorphismScratch>();
+    if (!scratch->ChargeTables(qn, p, &ctx->budget())) {
+      MarkExhausted(result, ctx);
+      return true;
+    }
+    result->contained =
+        HomomorphismExists(qn, p, /*root_to_root=*/false, scratch.get());
+    if (!result->contained) {
+      std::vector<int32_t> ones(DescendantEdges(p).size(), 1);
+      result->counterexample = CanonicalTree(p, ones, pool->Bottom());
+      result->counterexample_lengths = std::move(ones);
+    }
+    return true;
+  }
+  if (!fq.child_edges || !fp.descendant_edges) {
+    // Theorem 3.2(3): for child-edge-free q, the minimal canonical tree of
+    // p decides containment (Appendix B.1.4: embeddings transfer from the
+    // minimal canonical tree to every canonical tree along `corr`, which
+    // preserves labels and ancestorship — all q needs).  Theorems 3.1(2) /
+    // 3.2(4): a descendant-free p has a unique canonical tree.
+    result->algorithm = !fq.child_edges
+                            ? ContainmentAlgorithm::kMinimalCanonical
+                            : ContainmentAlgorithm::kSingleCanonical;
+    Tree t = MinimalCanonicalTree(p, pool->Bottom());
+    stats.canonical_trees_enumerated.fetch_add(1, std::memory_order_relaxed);
+    if (!ctx->budget().Charge(TreeCost(qn, t))) {
+      MarkExhausted(result, ctx);
+      return true;
+    }
+    result->contained = MatchesRouted(qn, t, Mode::kWeak, pool, ctx, options);
+    if (!result->contained) {
+      result->counterexample = std::move(t);
+      result->counterexample_lengths =
           std::vector<int32_t>(DescendantEdges(p).size(), 0);
-      result.algorithm = ContainmentAlgorithm::kMinimalCanonical;
-      return result;
     }
-    LabelId root_mark = pool->RootMark();
-    ContainmentResult result =
-        ContainsImpl(WithRootLabel(p, root_mark),
-                     WithRootLabel(q, root_mark), Mode::kWeak, pool, ctx,
-                     options);
-    if (result.counterexample.has_value() && !p.IsWildcard(0)) {
-      // Translate the counterexample back: its root carries the root mark
-      // introduced by the reduction; restore p's root label (still outside
-      // L_s(q): any strong embedding of q would induce one of the relabeled
-      // pattern into the relabeled tree).
-      result.counterexample->SetLabel(0, p.Label(0));
-    }
-    return result;
+    return true;
   }
-
-  Tpq qn = Normalize(q);
-  Fragment fp = FragmentOf(p);
-  Fragment fq = FragmentOf(qn);
-
-  if (!options.force_canonical) {
-    if (!fq.wildcard) {
-      // For wildcard-free q, an embedding into the canonical tree of p with
-      // every descendant chain instantiated by one ⊥ node can never touch a
-      // ⊥ node, so containment is exactly the existence of a homomorphism
-      // q -> p (Miklau & Suciu; the Theorem 3.1 region).
-      ContainmentResult result;
-      result.algorithm = ContainmentAlgorithm::kHomomorphism;
-      stats.homomorphism_checks.fetch_add(1, std::memory_order_relaxed);
-      if (!ctx->budget().Charge(
-              static_cast<int64_t>(qn.size()) * p.size())) {
-        MarkExhausted(&result, ctx);
-        return result;
-      }
-      // The dispatcher can route many pairs here back to back (benchmarks,
-      // minimization loops); a pooled scratch keeps the DP tables alive
-      // across calls while scoping their retention — and their tracked-byte
-      // charge — to this context rather than to the thread.
-      auto scratch = ctx->scratch().Acquire<HomomorphismScratch>();
-      if (!scratch->ChargeTables(qn, p, &ctx->budget())) {
-        MarkExhausted(&result, ctx);
-        return result;
-      }
-      result.contained =
-          HomomorphismExists(qn, p, /*root_to_root=*/false, scratch.get());
-      if (!result.contained) {
-        std::vector<int32_t> ones(DescendantEdges(p).size(), 1);
-        result.counterexample =
-            CanonicalTree(p, ones, pool->Bottom());
-        result.counterexample_lengths = std::move(ones);
-      }
-      return result;
-    }
-    if (!fq.child_edges) {
-      // Theorem 3.2(3): for child-edge-free q, the minimal canonical tree of
-      // p decides containment (Appendix B.1.4: embeddings transfer from the
-      // minimal canonical tree to every canonical tree along `corr`, which
-      // preserves labels and ancestorship — all q needs).
-      ContainmentResult result;
-      result.algorithm = ContainmentAlgorithm::kMinimalCanonical;
-      Tree t = MinimalCanonicalTree(p, pool->Bottom());
-      stats.canonical_trees_enumerated.fetch_add(1,
-                                                 std::memory_order_relaxed);
-      if (!ctx->budget().Charge(TreeCost(qn, t))) {
-        MarkExhausted(&result, ctx);
-        return result;
-      }
-      result.contained =
-          MatchesRouted(qn, t, Mode::kWeak, pool, ctx, options);
-      if (!result.contained) {
-        result.counterexample = std::move(t);
-        result.counterexample_lengths =
-            std::vector<int32_t>(DescendantEdges(p).size(), 0);
-      }
-      return result;
-    }
-    if (!fp.descendant_edges) {
-      // Theorems 3.1(2) / 3.2(4): p has a unique canonical tree.
-      ContainmentResult result;
-      result.algorithm = ContainmentAlgorithm::kSingleCanonical;
-      Tree t = MinimalCanonicalTree(p, pool->Bottom());
-      stats.canonical_trees_enumerated.fetch_add(1,
-                                                 std::memory_order_relaxed);
-      if (!ctx->budget().Charge(TreeCost(qn, t))) {
-        MarkExhausted(&result, ctx);
-        return result;
-      }
-      result.contained =
-          MatchesRouted(qn, t, Mode::kWeak, pool, ctx, options);
-      if (!result.contained) {
-        result.counterexample = std::move(t);
-        result.counterexample_lengths =
-            std::vector<int32_t>(DescendantEdges(p).size(), 0);
-      }
-      return result;
-    }
-    if (IsPathQuery(p)) {
-      // Theorem 3.2(1).
-      ContainmentResult result;
-      result.algorithm = ContainmentAlgorithm::kPathInTpq;
-      result.contained = PathInTpqContained(p, qn, pool, ctx);
-      if (ctx->budget().Exhausted()) MarkExhausted(&result, ctx);
-      return result;
-    }
-    if (!fp.child_edges) {
-      // Theorem 3.2(2).
-      ContainmentResult result;
-      result.algorithm = ContainmentAlgorithm::kChildFreeInTpq;
-      result.contained = ChildFreeInTpqContained(p, qn, pool, ctx);
-      if (ctx->budget().Exhausted()) MarkExhausted(&result, ctx);
-      return result;
-    }
+  const bool path = IsPathQuery(p);
+  if (path || !fp.child_edges) {
+    // Theorem 3.2(1) for a path query p, Theorem 3.2(2) for a child-edge-
+    // free one.
+    result->algorithm = path ? ContainmentAlgorithm::kPathInTpq
+                             : ContainmentAlgorithm::kChildFreeInTpq;
+    result->contained = path ? PathInTpqContained(p, qn, pool, ctx)
+                             : ChildFreeInTpqContained(p, qn, pool, ctx);
+    if (ctx->budget().Exhausted()) MarkExhausted(result, ctx);
+    return true;
   }
-  return CanonicalContainment(p, qn, Mode::kWeak, pool, ctx, options);
+  return false;
+}
+
+/// One member up to the canonical sweep: the strong fast fail, then the P
+/// routes.  Returns nullopt when `result` holds the member's decision
+/// (translated back to strong mode); otherwise the member's weak-phase
+/// pattern, for the canonical sweep to decide.
+std::optional<Tpq> DecideBeforeSweep(WeakPhase* side, const Tpq& q,
+                                     LabelPool* pool, EngineContext* ctx,
+                                     const ContainmentOptions& options,
+                                     ContainmentResult* result) {
+  assert(!q.empty());
+  if (side->FastFail(q, result)) return std::nullopt;
+  Tpq qn = side->WeakQ(q);
+  if (!DecideByRoute(side->WeakP(), side->fragment(), qn, pool, ctx, options,
+                     result)) {
+    return qn;
+  }
+  side->TranslateBack(result);
+  return std::nullopt;
+}
+
+/// Books the member's decision in the dispatcher's route counters.
+void CountDispatch(const ContainmentResult& result, EngineContext* ctx) {
+  ctx->stats().dispatch[static_cast<int>(result.algorithm)].fetch_add(
+      1, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -451,9 +457,17 @@ ContainmentResult CanonicalContainment(const Tpq& p, const Tpq& q, Mode mode,
 ContainmentResult Contains(const Tpq& p, const Tpq& q, Mode mode,
                            LabelPool* pool, EngineContext* ctx,
                            const ContainmentOptions& options) {
-  ContainmentResult result = ContainsImpl(p, q, mode, pool, ctx, options);
-  ctx->stats().dispatch[static_cast<int>(result.algorithm)].fetch_add(
-      1, std::memory_order_relaxed);
+  assert(!p.empty());
+  WeakPhase side(p, mode, pool);
+  ContainmentResult result;
+  if (std::optional<Tpq> qn =
+          DecideBeforeSweep(&side, q, pool, ctx, options, &result)) {
+    // A group of one: the singleton partition of `ContainsGroup`.
+    result = CanonicalContainment(side.WeakP(), *qn, Mode::kWeak, pool, ctx,
+                                  options);
+    side.TranslateBack(&result);
+  }
+  CountDispatch(result, ctx);
   return result;
 }
 
@@ -470,116 +484,44 @@ std::vector<ContainmentResult> ContainsGroup(
   std::vector<ContainmentResult> results(members.size());
   if (members.empty()) return results;
   assert(!p.empty());
-  if (!options.grouped_sweep || members.size() == 1) {
-    for (size_t i = 0; i < members.size(); ++i) {
-      results[i] =
-          Contains(p, *members[i].q, mode, pool, members[i].ctx, options);
-    }
-    return results;
-  }
-
-  // Weak-phase work list: normalization and (for strong mode) the
-  // Observation 2.3 root relabelling applied once for the whole group.
-  struct WeakItem {
-    size_t slot;
-    Tpq qn;
-    EngineContext* ctx;
-  };
-  std::vector<WeakItem> weak;
-  weak.reserve(members.size());
-  std::optional<Tpq> p_weak_storage;
-  const Tpq* pw = &p;
-  if (mode == Mode::kStrong) {
-    const LabelId root_mark = pool->RootMark();
-    p_weak_storage.emplace(WithRootLabel(p, root_mark));
-    pw = &*p_weak_storage;
-    for (size_t i = 0; i < members.size(); ++i) {
-      const Tpq& q = *members[i].q;
-      assert(!q.empty());
-      if (!q.IsWildcard(0) && (p.IsWildcard(0) || p.Label(0) != q.Label(0))) {
-        // Strong containment fails outright (Observation 2.3): witness any
-        // canonical tree of p — the solo dispatcher's fast fail.
-        ContainmentResult& r = results[i];
-        r.contained = false;
-        r.counterexample = MinimalCanonicalTree(p, pool->Bottom());
-        r.counterexample_lengths =
-            std::vector<int32_t>(DescendantEdges(p).size(), 0);
-        r.algorithm = ContainmentAlgorithm::kMinimalCanonical;
-        continue;
-      }
-      weak.push_back(
-          {i, Normalize(WithRootLabel(q, root_mark)), members[i].ctx});
-    }
-  } else {
-    for (size_t i = 0; i < members.size(); ++i) {
-      assert(!members[i].q->empty());
-      weak.push_back({i, Normalize(*members[i].q), members[i].ctx});
-    }
-  }
-
-  // Route each member as the solo dispatcher would; only members landing on
-  // the general canonical procedure can share a sweep, and only with
-  // members of equal chain-length bound (the bound depends on q).
-  const Fragment fp = FragmentOf(*pw);
-  const bool p_canonical =
-      fp.descendant_edges && !IsPathQuery(*pw) && fp.child_edges;
-  std::vector<SweepMember> sweepable;
-  std::vector<int32_t> sweep_bounds;
-  for (WeakItem& w : weak) {
-    const Fragment fq = FragmentOf(w.qn);
-    const bool canonical_route =
-        options.force_canonical ||
-        (fq.wildcard && fq.child_edges && p_canonical);
-    if (!canonical_route) {
-      results[w.slot] =
-          ContainsImpl(*pw, w.qn, Mode::kWeak, pool, w.ctx, options);
-      continue;
-    }
-    // `weak` no longer grows here, so &w.qn stays valid below.
-    sweepable.push_back({w.slot, &w.qn, w.ctx});
-    sweep_bounds.push_back(CanonicalBound(w.qn, options.bound));
-  }
-
-  // Sub-partition the canonical members by bound; each partition shares one
-  // enumeration.  A singleton partition is a solo decision: its shared work
-  // lands on the member's own context, exactly as `CanonicalContainment`.
+  WeakPhase side(p, mode, pool);
+  // Members only the canonical sweep can decide, partitioned by chain-length
+  // bound (it depends on q): each partition shares one enumeration.
+  std::vector<Tpq> swept;
+  swept.reserve(members.size());  // SweepMember::qn points into it
   std::vector<std::pair<int32_t, std::vector<SweepMember>>> partitions;
-  for (size_t i = 0; i < sweepable.size(); ++i) {
-    bool placed = false;
-    for (auto& part : partitions) {
-      if (part.first == sweep_bounds[i]) {
-        part.second.push_back(sweepable[i]);
-        placed = true;
-        break;
-      }
+  for (size_t i = 0; i < members.size(); ++i) {
+    std::optional<Tpq> qn = DecideBeforeSweep(
+        &side, *members[i].q, pool, members[i].ctx, options, &results[i]);
+    if (!qn.has_value()) continue;
+    swept.push_back(std::move(*qn));
+    const int32_t bound = CanonicalBound(swept.back(), options.bound);
+    auto part = std::find_if(partitions.begin(), partitions.end(),
+                             [bound](const auto& pt) {
+                               return pt.first == bound;
+                             });
+    if (part == partitions.end()) {
+      part = partitions.insert(partitions.end(), {bound, {}});
     }
-    if (!placed) partitions.push_back({sweep_bounds[i], {sweepable[i]}});
+    part->second.push_back({i, &swept.back(), members[i].ctx});
   }
   EngineStats& gstats = group_ctx->stats();
-  for (auto& part : partitions) {
-    EngineContext* sweep_ctx = part.second[0].ctx;
-    if (part.second.size() > 1) {
+  for (auto& [bound, part] : partitions) {
+    // A singleton partition is a solo decision: its shared work lands on the
+    // member's own context, exactly as in `Contains`.
+    EngineContext* sweep_ctx = part[0].ctx;
+    if (part.size() > 1) {
       sweep_ctx = group_ctx;
       gstats.sweep_groups_formed.fetch_add(1, std::memory_order_relaxed);
-      gstats.sweep_group_members.fetch_add(
-          static_cast<int64_t>(part.second.size()), std::memory_order_relaxed);
+      gstats.sweep_group_members.fetch_add(static_cast<int64_t>(part.size()),
+                                           std::memory_order_relaxed);
     }
-    CanonicalSweep(*pw, part.second, Mode::kWeak, part.first, pool, sweep_ctx,
+    CanonicalSweep(side.WeakP(), part, Mode::kWeak, bound, pool, sweep_ctx,
                    options, &results);
+    for (const SweepMember& m : part) side.TranslateBack(&results[m.slot]);
   }
-
-  if (mode == Mode::kStrong && !p.IsWildcard(0)) {
-    // Translate the weak-phase counterexamples back (see ContainsImpl).
-    for (const WeakItem& w : weak) {
-      if (results[w.slot].counterexample.has_value()) {
-        results[w.slot].counterexample->SetLabel(0, p.Label(0));
-      }
-    }
-  }
-
   for (size_t i = 0; i < members.size(); ++i) {
-    members[i].ctx->stats().dispatch[static_cast<int>(results[i].algorithm)]
-        .fetch_add(1, std::memory_order_relaxed);
+    CountDispatch(results[i], members[i].ctx);
   }
   return results;
 }

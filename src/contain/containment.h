@@ -81,11 +81,6 @@ struct ContainmentOptions {
   /// If true, the dispatcher may not route to the fragment-specific P
   /// algorithms (used by tests to force the general procedure).
   bool force_canonical = false;
-  /// If true (default) the canonical sweep rebuilds each model from the
-  /// first changed spine only and re-runs the embedding DP on just the
-  /// invalidated columns; if false every model is built and evaluated from
-  /// scratch (for A/B benchmarks and agreement tests).
-  bool incremental = true;
   /// If true, the canonical sweep never engages the thread pool even when
   /// `ctx->threads() > 1`.  Callers that are *themselves* pool jobs (the
   /// query service's batch fan-out) must set this: `ThreadPool::ParallelFor`
@@ -112,20 +107,13 @@ struct ContainmentOptions {
   /// service owns one beside its verdict cache).  Null means: sweeps still
   /// compile per call, single-tree routes never do (no hotness evidence).
   ProgramCache* program_cache = nullptr;
-  /// If true (default) `ContainsGroup` — and the query-service batch
-  /// grouping and daemon coalescing window built on it — may decide
-  /// canonical-route members sharing the enumeration-side pattern over ONE
-  /// model enumeration (each canonical tree built once, every undecided
-  /// member's matcher run against it).  If false every member is decided by
-  /// an independent `Contains` call — the `--no-group-sweep` A/B twin.
-  /// Verdicts and per-member attribution are identical either way.
-  bool grouped_sweep = true;
 };
 
 /// Decides L(p) ⊆ L(q) (weak or strong languages per `mode`) under the
-/// budget/instrumentation/parallelism of `ctx`.  `pool` is used to mint
-/// fresh labels (⊥, fresh roots); it must be the pool the patterns were
-/// interned in.
+/// budget/instrumentation/parallelism of `ctx`.  `pool` supplies the
+/// reserved labels (⊥, the root mark); it must be the pool the patterns were
+/// interned in.  Behaves exactly as `ContainsGroup` over one member whose
+/// context is `ctx`, but without the group's containers.
 ContainmentResult Contains(const Tpq& p, const Tpq& q, Mode mode,
                            LabelPool* pool, EngineContext* ctx,
                            const ContainmentOptions& options = {});
@@ -146,19 +134,19 @@ struct GroupMember {
 };
 
 /// Decides L(p) ⊆ L(q_i) for every member against ONE shared
-/// enumeration-side pattern p.  Members that the dispatcher routes to a
-/// fragment-specific P algorithm are decided exactly as `Contains` would;
-/// the canonical-route members are partitioned by chain-length bound and
-/// each partition runs the one canonical sweep — each canonical tree of p is
-/// built once and evaluated against every still-undecided member, and a
-/// member retires at its first counterexample or budget trip (the undecided
-/// mask).  Strong mode applies the Observation 2.3 root relabelling once for
-/// the whole group.  Shared work (tree builds, enumeration) of a partition
-/// with several members is accounted on `group_ctx`, which also provides
-/// the thread pool for the chunked parallel sweep; a singleton partition is
-/// the solo `CanonicalContainment` call, on the member's own context.
-/// Results are indexed like `members`.  With `options.grouped_sweep` false
-/// this is exactly one `Contains` call per member (the A/B twin).
+/// enumeration-side pattern p.  Each member runs the same per-member steps
+/// as `Contains` — the Observation 2.3 strong fast fail and root relabelling
+/// (p relabelled once for the whole group), then the first applicable
+/// fragment-specific P algorithm in Table 1 route order — on its own
+/// context.  The members only the canonical sweep can decide are
+/// partitioned by chain-length bound and each partition runs the one
+/// canonical sweep: each canonical tree of p is built once and evaluated
+/// against every still-undecided member, and a member retires at its first
+/// counterexample or budget trip (the undecided mask).  Shared work (tree
+/// builds, enumeration) of a partition with several members is accounted on
+/// `group_ctx`, which also provides the thread pool for the chunked
+/// parallel sweep; a singleton partition is the solo `CanonicalContainment`
+/// call, on the member's own context.  Results are indexed like `members`.
 std::vector<ContainmentResult> ContainsGroup(
     const Tpq& p, const std::vector<GroupMember>& members, Mode mode,
     LabelPool* pool, EngineContext* group_ctx,

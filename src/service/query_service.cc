@@ -153,61 +153,56 @@ void QueryService::SeedMinimized(const Tpq& pattern, const TpqDigest& digest,
   MemoInsertLocked(memo_key, std::move(entry));
 }
 
-std::shared_ptr<const MatcherProgram> QueryService::PooledProgram(
-    const Tpq& pattern, uint64_t hash, Mode mode, EngineContext* ctx) {
-  if (programs_ == nullptr || !MatcherProgram::Compilable(pattern)) {
-    return nullptr;
-  }
-  const ProgramKey key{hash, pool_->generation(), static_cast<uint32_t>(mode)};
-  bool should_compile = false;
-  std::shared_ptr<const MatcherProgram> program =
-      programs_->Get(key, &should_compile);
-  if (program == nullptr && should_compile) {
-    program =
-        MatcherProgram::Compile(pattern, programs_->budget(), &ctx->stats());
-    if (program != nullptr) {
-      ctx->stats().program_cache_evictions.fetch_add(
-          programs_->Put(key, program), std::memory_order_relaxed);
-    }
-  }
-  return program;
-}
-
 ContainmentResult QueryService::DecideOne(const Tpq& p, const Tpq& q,
                                           Mode mode, bool in_worker,
                                           EngineContext* ctx,
                                           PendingDecision* defer) {
-  ContainmentOptions options = options_.containment;
-  if (in_worker) options.sequential_sweep = true;
+  // The decision state, captured before any layer runs: every exit that
+  // settles the pair records it through `FinishDecision`, and a pair that
+  // survives every fast-path layer is dispatched right here or deferred
+  // into a grouped sweep with others sharing p.
+  PendingDecision local;
+  PendingDecision& d = defer != nullptr ? *defer : local;
+  d.options = options_.containment;
+  if (in_worker) d.options.sequential_sweep = true;
   // Share the program pool with the dispatcher: its sweeps publish compiled
   // patterns here and its single-tree routes consult the hotness tracker.
-  options.program_cache = programs_.get();
+  d.options.program_cache = programs_.get();
+  d.mode = mode;
+  d.p = &p;
+  d.q = &q;
+  const ContainmentOptions& options = d.options;
   EngineStats& stats = ctx->stats();
-
-  std::shared_ptr<const MinimizedEntry> pm, qm;
-  const Tpq* pp = &p;
-  const Tpq* qq = &q;
-  VerdictKey key;
-  bool have_key = false;
-  uint64_t q_probe_hash = 0;
-  bool have_probe_hash = false;
   if (options_.use_cache) {
-    pm = Minimized(p, mode, options, ctx);
-    qm = Minimized(q, mode, options, ctx);
-    pp = &pm->pattern;
-    qq = &qm->pattern;
-    key = VerdictKey{pm->hash, qm->hash, mode, options.bound,
-                     pool_->generation()};
-    have_key = true;
-    q_probe_hash = qm->hash;
-    have_probe_hash = true;
+    d.pm = Minimized(p, mode, options, ctx);
+    d.qm = Minimized(q, mode, options, ctx);
+    d.p = &d.pm->pattern;
+    d.q = &d.qm->pattern;
+    d.key = VerdictKey{d.pm->hash, d.qm->hash, mode, options.bound,
+                       pool_->generation()};
+    d.have_key = true;
+    d.q_probe_hash = d.qm->hash;
+    d.have_probe_hash = true;
   } else if (options_.use_prefilters) {
     // No cache layer: the probe book still wants a q identity.
-    q_probe_hash = CanonicalTpqHash(q);
-    have_probe_hash = true;
+    d.q_probe_hash = CanonicalTpqHash(q);
+    d.have_probe_hash = true;
   }
+  const Tpq& pp = *d.p;
+  const Tpq& qq = *d.q;
+  const VerdictKey& key = d.key;
+  // The pooled program of a minimized pattern (the hotness-gated path of
+  // the probe cascade and the mapped-tree validation).
+  auto pooled = [&](const Tpq& pattern, uint64_t hash) {
+    return programs_ == nullptr
+               ? nullptr
+               : programs_->Fetch(pattern,
+                                  ProgramKey{hash, pool_->generation(),
+                                             static_cast<uint32_t>(mode)},
+                                  /*force=*/false, &stats);
+  };
 
-  if (have_key) {
+  if (d.have_key) {
     if (std::optional<VerdictEntry> hit = cache_.Get(key)) {
       if (hit->contained || !hit->counterexample_lengths.has_value()) {
         // Positive (and witness-less negative) verdicts are served on hash
@@ -219,7 +214,7 @@ ContainmentResult QueryService::DecideOne(const Tpq& p, const Tpq& q,
         return result;
       }
       std::vector<int32_t> lengths = *hit->counterexample_lengths;
-      lengths.resize(DescendantEdges(*pp).size(), 1);
+      lengths.resize(DescendantEdges(pp).size(), 1);
       // Mapped-tree fast path: when the refutation's canonical
       // counterexample tree came in with a snapshot, validate it zero-copy
       // against the mapped columns instead of rebuilding the canonical
@@ -231,9 +226,9 @@ ContainmentResult QueryService::DecideOne(const Tpq& p, const Tpq& q,
         if (mt != mapped_trees_.end()) {
           const TreeView tv = mapped_snapshot_->TreeAt(mt->second);
           std::shared_ptr<const MatcherProgram> p_prog =
-              PooledProgram(*pp, pm->hash, mode, ctx);
+              pooled(pp, d.pm->hash);
           std::shared_ptr<const MatcherProgram> q_prog =
-              PooledProgram(*qq, qm->hash, mode, ctx);
+              pooled(qq, d.qm->hash);
           if (p_prog != nullptr && q_prog != nullptr &&
               ctx->budget().Charge(2 * static_cast<int64_t>(tv.size()))) {
             std::vector<MatcherProgram::StackFrame> stack;
@@ -265,7 +260,7 @@ ContainmentResult QueryService::DecideOne(const Tpq& p, const Tpq& q,
         }
       }
       std::optional<Tree> replay =
-          ReplayRefutation(*pp, *qq, mode, lengths, pool_, ctx);
+          ReplayRefutation(pp, qq, mode, lengths, pool_, ctx);
       if (replay.has_value()) {
         stats.cache_hits.fetch_add(1, std::memory_order_relaxed);
         ContainmentResult result;
@@ -289,50 +284,35 @@ ContainmentResult QueryService::DecideOne(const Tpq& p, const Tpq& q,
   // rebuilds the induced canonical tree of the *live* p — so neither path
   // can be fooled by a digest collision.  Derived verdicts are cached, so
   // the derivation happens once per pair.
-  if (have_key && lattice_ != nullptr && options_.use_lattice &&
+  if (d.have_key && lattice_ != nullptr && options_.use_lattice &&
       !ctx->budget().Exhausted()) {
-    if (lattice_->Stitch(pm->digest, qm->digest, mode, options.bound,
+    if (lattice_->Stitch(d.pm->digest, d.qm->digest, mode, options.bound,
                          key.pool_generation, &ctx->budget())) {
       stats.lattice_stitch_hits.fetch_add(1, std::memory_order_relaxed);
       ContainmentResult result;
       result.contained = true;
       result.algorithm = ContainmentAlgorithm::kCanonicalEnumeration;
-      VerdictEntry entry;
-      entry.contained = true;
-      entry.algorithm = result.algorithm;
-      stats.cache_evictions.fetch_add(cache_.Put(key, std::move(entry)),
-                                      std::memory_order_relaxed);
-      // Short-circuit future stitches of this pair to one hop.
-      lattice_->Record(*pp, pm->digest, *qq, qm->digest, mode, options.bound,
-                       key.pool_generation, /*contained=*/true, nullptr);
-      return result;
+      // Recording the edge short-circuits future stitches of this pair to
+      // one hop.
+      return FinishDecision(d, std::move(result), ctx);
     }
     if (ctx->budget().Exhausted()) return ExhaustedResult(ctx);
-    const size_t num_edges = DescendantEdges(*pp).size();
+    const size_t num_edges = DescendantEdges(pp).size();
     std::vector<std::vector<int32_t>> candidates = lattice_->BorrowCandidates(
-        pm->digest, qm->digest, mode, options.bound, key.pool_generation,
+        d.pm->digest, d.qm->digest, mode, options.bound, key.pool_generation,
         VerdictLattice::kWitnessLimit);
     for (std::vector<int32_t>& lengths : candidates) {
       lengths.resize(num_edges, 1);
       std::optional<Tree> replay =
-          ReplayRefutation(*pp, *qq, mode, lengths, pool_, ctx);
+          ReplayRefutation(pp, qq, mode, lengths, pool_, ctx);
       if (replay.has_value()) {
         stats.witness_borrow_refutes.fetch_add(1, std::memory_order_relaxed);
         ContainmentResult result;
         result.contained = false;
         result.counterexample = std::move(*replay);
-        result.counterexample_lengths = lengths;
+        result.counterexample_lengths = std::move(lengths);
         result.algorithm = ContainmentAlgorithm::kCanonicalEnumeration;
-        RecordProbe(ProbeKey{qm->hash, mode}, lengths);
-        lattice_->Record(*pp, pm->digest, *qq, qm->digest, mode, options.bound,
-                         key.pool_generation, /*contained=*/false, &lengths);
-        VerdictEntry entry;
-        entry.contained = false;
-        entry.algorithm = result.algorithm;
-        entry.counterexample_lengths = std::move(lengths);
-        stats.cache_evictions.fetch_add(cache_.Put(key, std::move(entry)),
-                                        std::memory_order_relaxed);
-        return result;
+        return FinishDecision(d, std::move(result), ctx);
       }
       if (ctx->budget().Exhausted()) return ExhaustedResult(ctx);
     }
@@ -342,45 +322,33 @@ ContainmentResult QueryService::DecideOne(const Tpq& p, const Tpq& q,
     // Accept filter: a homomorphism q -> p witnesses containment in every
     // fragment (root-to-root for the strong flavour), skipping the general
     // route for the contained majority of repeated workloads.
-    bool budget_ok = ctx->budget().Charge(static_cast<int64_t>(qq->size()) *
-                                           pp->size());
+    bool budget_ok =
+        ctx->budget().Charge(static_cast<int64_t>(qq.size()) * pp.size());
     if (budget_ok) {
       stats.homomorphism_checks.fetch_add(1, std::memory_order_relaxed);
       auto scratch = ctx->scratch().Acquire<HomomorphismScratch>();
-      budget_ok = scratch->ChargeTables(*qq, *pp, &ctx->budget());
+      budget_ok = scratch->ChargeTables(qq, pp, &ctx->budget());
       if (budget_ok &&
-          HomomorphismExists(*qq, *pp, /*root_to_root=*/mode == Mode::kStrong,
+          HomomorphismExists(qq, pp, /*root_to_root=*/mode == Mode::kStrong,
                              scratch.get())) {
         stats.prefilter_accepts.fetch_add(1, std::memory_order_relaxed);
         ContainmentResult result;
         result.contained = true;
         result.algorithm = ContainmentAlgorithm::kHomomorphism;
-        if (have_key) {
-          VerdictEntry entry;
-          entry.contained = true;
-          entry.algorithm = result.algorithm;
-          stats.cache_evictions.fetch_add(cache_.Put(key, std::move(entry)),
-                                          std::memory_order_relaxed);
-          if (lattice_ != nullptr) {
-            lattice_->Record(*pp, pm->digest, *qq, qm->digest, mode,
-                             options.bound, key.pool_generation,
-                             /*contained=*/true, nullptr);
-          }
-        }
-        return result;
+        return FinishDecision(d, std::move(result), ctx);
       }
     }
     if (budget_ok) {
       // Refute filter: every canonical tree of p is in L_w(p) and L_s(p),
       // so q failing to match one refutes containment outright.  Probe the
       // two cheap extremes plus length vectors that refuted this q before.
-      const size_t num_edges = DescendantEdges(*pp).size();
+      const size_t num_edges = DescendantEdges(pp).size();
       std::vector<std::vector<int32_t>> probes;
       probes.emplace_back(num_edges, 0);
       probes.emplace_back(num_edges, 1);
-      if (have_probe_hash) {
+      if (d.have_probe_hash) {
         for (std::vector<int32_t>& recorded :
-             ProbesFor(ProbeKey{q_probe_hash, mode})) {
+             ProbesFor(ProbeKey{d.q_probe_hash, mode})) {
           recorded.resize(num_edges, 1);
           probes.push_back(std::move(recorded));
         }
@@ -389,17 +357,16 @@ ContainmentResult QueryService::DecideOne(const Tpq& p, const Tpq& q,
       // against a handful of canonical trees — exactly the single-tree
       // shape the program pool's hotness threshold gates, so only patterns
       // seen often enough pay the compile.
-      std::shared_ptr<const MatcherProgram> program = PooledProgram(
-          *qq, have_probe_hash ? q_probe_hash : CanonicalTpqHash(*qq), mode,
-          ctx);
+      std::shared_ptr<const MatcherProgram> program =
+          pooled(qq, d.have_probe_hash ? d.q_probe_hash : CanonicalTpqHash(qq));
       auto ws = ctx->scratch().Acquire<MatcherWorkspace>();
       auto exec = ctx->scratch().Acquire<ProgramExec>();
       for (std::vector<int32_t>& lengths : probes) {
-        Tree t = CanonicalTree(*pp, lengths, pool_->Bottom());
+        Tree t = CanonicalTree(pp, lengths, pool_->Bottom());
         stats.canonical_trees_enumerated.fetch_add(1,
                                                    std::memory_order_relaxed);
         if (!ctx->budget().Charge(
-                1 + static_cast<int64_t>(qq->size()) * t.size())) {
+                1 + static_cast<int64_t>(qq.size()) * t.size())) {
           budget_ok = false;
           break;
         }
@@ -410,11 +377,11 @@ ContainmentResult QueryService::DecideOne(const Tpq& p, const Tpq& q,
         } else {
           // Generic fallback (also taken when the soft scratch charge for
           // the compiled run is refused).
-          if (!ws->ChargeTables(*qq, t, &ctx->budget())) {
+          if (!ws->ChargeTables(qq, t, &ctx->budget())) {
             budget_ok = false;
             break;
           }
-          ws->EvalFull(*qq, t, &stats, options.word_parallel);
+          ws->EvalFull(qq, t, &stats, options.word_parallel);
           matches =
               mode == Mode::kStrong ? ws->MatchesStrong() : ws->MatchesWeak();
         }
@@ -424,24 +391,8 @@ ContainmentResult QueryService::DecideOne(const Tpq& p, const Tpq& q,
           result.contained = false;
           result.algorithm = ContainmentAlgorithm::kCanonicalEnumeration;
           result.counterexample = std::move(t);
-          result.counterexample_lengths = lengths;
-          if (have_probe_hash) {
-            RecordProbe(ProbeKey{q_probe_hash, mode}, lengths);
-          }
-          if (have_key) {
-            if (lattice_ != nullptr) {
-              lattice_->Record(*pp, pm->digest, *qq, qm->digest, mode,
-                               options.bound, key.pool_generation,
-                               /*contained=*/false, &lengths);
-            }
-            VerdictEntry entry;
-            entry.contained = false;
-            entry.algorithm = result.algorithm;
-            entry.counterexample_lengths = std::move(lengths);
-            stats.cache_evictions.fetch_add(cache_.Put(key, std::move(entry)),
-                                            std::memory_order_relaxed);
-          }
-          return result;
+          result.counterexample_lengths = std::move(lengths);
+          return FinishDecision(d, std::move(result), ctx);
         }
       }
     }
@@ -449,24 +400,12 @@ ContainmentResult QueryService::DecideOne(const Tpq& p, const Tpq& q,
   }
 
   // Every fast-path layer passed: the pair needs the real dispatcher.
-  // Capture the decision state — the caller either dispatches right here or
-  // defers the pair into a grouped sweep with others sharing p.
-  PendingDecision local;
-  PendingDecision& d = defer != nullptr ? *defer : local;
-  d.active = true;
-  d.p = pp;
-  d.q = qq;
-  d.pm = std::move(pm);
-  d.qm = std::move(qm);
-  d.mode = mode;
-  d.key = key;
-  d.have_key = have_key;
-  d.q_probe_hash = q_probe_hash;
-  d.have_probe_hash = have_probe_hash;
-  d.options = options;
-  if (defer != nullptr) return ContainmentResult{};
-  return FinishDecision(
-      d, tpc::Contains(*d.p, *d.q, mode, pool_, ctx, options), ctx);
+  if (defer != nullptr) {
+    d.active = true;
+    return ContainmentResult{};
+  }
+  return FinishDecision(d, tpc::Contains(pp, qq, mode, pool_, ctx, options),
+                        ctx);
 }
 
 ContainmentResult QueryService::FinishDecision(const PendingDecision& d,
@@ -482,7 +421,12 @@ ContainmentResult QueryService::FinishDecision(const PendingDecision& d,
       VerdictEntry entry;
       entry.contained = result.contained;
       entry.algorithm = result.algorithm;
-      entry.counterexample_lengths = result.counterexample_lengths;
+      // The entry takes the result's own vector and the caller a copy.
+      // `VerdictEntryCost` charges capacity, so which vector the cache holds
+      // (a probe vector resized in place keeps its spare capacity) decides
+      // the entry's byte charge and with it the cache's evictions.
+      entry.counterexample_lengths = std::move(result.counterexample_lengths);
+      result.counterexample_lengths = entry.counterexample_lengths;
       stats.cache_evictions.fetch_add(cache_.Put(d.key, std::move(entry)),
                                       std::memory_order_relaxed);
       if (lattice_ != nullptr) {
@@ -506,7 +450,7 @@ void QueryService::DecideDeferred(std::vector<PendingRef>* refs,
   // Group by (p identity, mode).  Buckets key on the enumeration-side
   // pattern's canonical hash; within a bucket the representative pattern is
   // compared structurally, so a hash collision degrades to a separate group
-  // (and, if singleton, a solo decision) — never to a wrong grouping.
+  // — never to a wrong grouping.
   struct Group {
     Mode mode;
     const Tpq* p;
@@ -533,16 +477,6 @@ void QueryService::DecideDeferred(std::vector<PendingRef>* refs,
     }
   }
   auto decide_group = [this, group_ctx](Group& g) {
-    if (g.members.size() == 1) {
-      // Singleton: exactly the dispatch the non-deferred DecideOne makes.
-      PendingRef& r = g.members[0];
-      *r.result = FinishDecision(
-          *r.d,
-          tpc::Contains(*r.d->p, *r.d->q, r.d->mode, pool_, r.ctx,
-                        r.d->options),
-          r.ctx);
-      return;
-    }
     std::vector<GroupMember> members;
     members.reserve(g.members.size());
     for (PendingRef& r : g.members) members.push_back({r.d->q, r.ctx});
@@ -580,7 +514,6 @@ std::vector<ContainmentResult> QueryService::ContainsGroupFor(
     const std::vector<GroupQuery>& queries) {
   std::vector<ContainmentResult> results(queries.size());
   if (queries.empty()) return results;
-  const bool grouped = options_.containment.grouped_sweep;
   std::vector<PendingDecision> pending(queries.size());
   std::vector<PendingRef> refs;
   // Shared sweep work (tree builds, enumeration) is accounted on the first
@@ -589,7 +522,7 @@ std::vector<ContainmentResult> QueryService::ContainsGroupFor(
   for (size_t i = 0; i < queries.size(); ++i) {
     const GroupQuery& gq = queries[i];
     results[i] = DecideOne(*gq.p, *gq.q, gq.mode, /*in_worker=*/true, gq.ctx,
-                           grouped ? &pending[i] : nullptr);
+                           &pending[i]);
     if (pending[i].active) {
       if (group_ctx == nullptr) group_ctx = gq.ctx;
       refs.push_back({&pending[i], &results[i], gq.ctx});
@@ -645,40 +578,36 @@ std::vector<ContainmentResult> QueryService::ContainsBatch(
   ctx_->stats().batch_deduped.fetch_add(folded, std::memory_order_relaxed);
 
   std::vector<ContainmentResult> unique_results(representative.size());
-  // With grouping on, pairs the fast path cannot answer are deferred in
-  // stage 1 and decided in stage 2, where items sharing an
-  // enumeration-side pattern run one canonical-model sweep together.
-  const bool grouped = options_.containment.grouped_sweep;
-  std::vector<PendingDecision> pending(grouped ? representative.size() : 0);
+  // Pairs the fast path cannot answer are deferred in stage 1 and decided in
+  // stage 2, where items sharing an enumeration-side pattern run one
+  // canonical-model sweep together.
+  std::vector<PendingDecision> pending(representative.size());
   const bool parallel = ctx_->threads() > 1 && representative.size() > 1;
   if (parallel) {
     // Workers force sequential sweeps: ParallelFor must not reenter.
     ctx_->pool().ParallelFor(
         static_cast<int64_t>(representative.size()), [&](int64_t u) {
           const BatchItem& item = items[representative[static_cast<size_t>(u)]];
-          unique_results[static_cast<size_t>(u)] = DecideOne(
-              item.p, item.q, item.mode, /*in_worker=*/true, ctx_,
-              grouped ? &pending[static_cast<size_t>(u)] : nullptr);
+          unique_results[static_cast<size_t>(u)] =
+              DecideOne(item.p, item.q, item.mode, /*in_worker=*/true, ctx_,
+                        &pending[static_cast<size_t>(u)]);
         });
   } else {
     for (size_t u = 0; u < representative.size(); ++u) {
       const BatchItem& item = items[representative[u]];
       unique_results[u] = DecideOne(item.p, item.q, item.mode,
-                                    /*in_worker=*/false, ctx_,
-                                    grouped ? &pending[u] : nullptr);
+                                    /*in_worker=*/false, ctx_, &pending[u]);
     }
   }
-  if (grouped) {
-    std::vector<PendingRef> refs;
-    for (size_t u = 0; u < representative.size(); ++u) {
-      if (pending[u].active) {
-        refs.push_back({&pending[u], &unique_results[u], ctx_});
-      }
+  std::vector<PendingRef> refs;
+  for (size_t u = 0; u < representative.size(); ++u) {
+    if (pending[u].active) {
+      refs.push_back({&pending[u], &unique_results[u], ctx_});
     }
-    // Independent groups fan out only when stage 1 already forced
-    // sequential sweeps onto the deferred options.
-    if (!refs.empty()) DecideDeferred(&refs, ctx_, parallel);
   }
+  // Independent groups fan out only when stage 1 already forced sequential
+  // sweeps onto the deferred options.
+  if (!refs.empty()) DecideDeferred(&refs, ctx_, parallel);
   for (size_t i = 0; i < items.size(); ++i) {
     results[i] = unique_results[owner[i]];
   }

@@ -28,9 +28,9 @@
 //      not reenter.  Pairs that survive every fast-path layer are then
 //      *grouped* by (enumeration-side pattern, mode) and decided through
 //      `tpc::ContainsGroup`, which enumerates the shared pattern's
-//      canonical models once for the whole group
-//      (`ContainmentOptions::grouped_sweep`; `ContainsGroupFor` is the
-//      daemon-side entry for its coalescing window).
+//      canonical models once for the whole group (a group of one is a solo
+//      decision; `ContainsGroupFor` is the daemon-side entry for its
+//      coalescing window).
 //   5. *Pattern compilation* (src/compile/): hot minimized patterns are
 //      lowered to flat matcher programs pooled beside the verdict cache and
 //      shared with the dispatcher (`ContainmentOptions::program_cache`), so
@@ -210,10 +210,12 @@ class QueryService {
       const Tpq& pattern, Mode mode, const ContainmentOptions& options,
       EngineContext* ctx);
 
-  /// A pair the fast path could not answer, captured so the batch/group
-  /// layers can decide it together with others sharing its enumeration-side
-  /// pattern.  `p`/`q` point at the minimized patterns (kept alive by
-  /// `pm`/`qm`) or the caller's originals when the cache layer is off.
+  /// One pair's decision state: what `FinishDecision` records a verdict
+  /// under, and — once `active` — a pair the fast path could not answer,
+  /// captured so the batch/group layers can decide it together with others
+  /// sharing its enumeration-side pattern.  `p`/`q` point at the minimized
+  /// patterns (kept alive by `pm`/`qm`) or the caller's originals when the
+  /// cache layer is off.
   struct PendingDecision {
     bool active = false;
     const Tpq* p = nullptr;
@@ -238,23 +240,26 @@ class QueryService {
   /// The full per-pair pipeline; `in_worker` forces sequential sweeps.
   /// `ctx` carries the budget/stats/scratch of this decision — the service's
   /// own context for Contains/ContainsBatch, the caller's for ContainsFor.
-  /// With a non-null `defer`, a pair that survives every fast-path layer is
-  /// *not* dispatched: `defer` is filled (active = true) and the returned
-  /// placeholder must be replaced by `DecideDeferred`/`FinishDecision`.
+  /// The decision state is captured in a `PendingDecision` (`defer`, when
+  /// non-null) before any layer runs.  With a non-null `defer`, a pair that
+  /// survives every fast-path layer is *not* dispatched: `defer` is marked
+  /// active and the returned placeholder must be replaced by
+  /// `DecideDeferred`.
   ContainmentResult DecideOne(const Tpq& p, const Tpq& q, Mode mode,
                               bool in_worker, EngineContext* ctx,
                               PendingDecision* defer = nullptr);
 
-  /// Post-dispatch bookkeeping of `DecideOne` (probe recording, verdict
-  /// cache insertion, lattice recording) for a decision produced out of
-  /// line; returns `result` unchanged.
+  /// Records a decided verdict — probe book, verdict cache, lattice — for
+  /// every exit that settles a pair without a cache hit: the lattice stitch
+  /// and witness borrow, the prefilter accept and refute, and the
+  /// dispatcher (inline or deferred).  Returns `result` unchanged.
   ContainmentResult FinishDecision(const PendingDecision& d,
                                    ContainmentResult result,
                                    EngineContext* ctx);
 
   /// Groups the deferred residue by (enumeration-side pattern, mode) —
   /// hash-bucketed, guarded by structural equality so a hash collision
-  /// degrades to solo decisions — and decides each group through
+  /// degrades to separate groups — and decides each group through
   /// `tpc::ContainsGroup` on `group_ctx`, finishing every member's result
   /// in place.  `parallel_groups` fans independent groups out over the
   /// service context's pool (only valid when the deferred options force
@@ -274,15 +279,6 @@ class QueryService {
   /// the entry would pass the `cache_bytes` bound.
   void MemoInsertLocked(uint64_t memo_key,
                         std::shared_ptr<const MinimizedEntry> entry);
-
-  /// Compiles-or-fetches the pooled program for a minimized pattern (the
-  /// shared hotness-gated path of the probe cascade and the mapped-tree
-  /// validation).  nullptr when not compilable, not yet hot, or refused.
-  /// Compile bytes go to the pool's (service) budget; compile counters to
-  /// `ctx`'s stats.
-  std::shared_ptr<const MatcherProgram> PooledProgram(const Tpq& pattern,
-                                                      uint64_t hash, Mode mode,
-                                                      EngineContext* ctx);
 
   LabelPool* pool_;
   EngineContext* ctx_;

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -21,15 +22,15 @@
 #include "gen/random_instances.h"
 #include "match/embedding.h"
 #include "pattern/tpq_parser.h"
+#include "reference_sweep.h"
 
 namespace tpc {
 namespace {
 
-ContainmentOptions SweepOptions(bool compiled, bool incremental) {
+ContainmentOptions SweepOptions(bool compiled) {
   ContainmentOptions options;
   options.force_canonical = true;
   options.bound = ContainmentOptions::Bound::kAggressive;
-  options.incremental = incremental;
   options.compiled_matcher = compiled;
   return options;
 }
@@ -89,11 +90,10 @@ TEST(CompiledAgreementTest, SweepVerdictsIdenticalBothModes) {
     Tpq p = RandomTpq(popts, &rng);
     Tpq q = RandomTpq(qopts, &rng);
     Mode mode = trial % 4 == 0 ? Mode::kStrong : Mode::kWeak;
-    bool incremental = trial % 2 == 0;
     ContainmentResult compiled =
-        Contains(p, q, mode, &pool, SweepOptions(true, incremental));
+        Contains(p, q, mode, &pool, SweepOptions(true));
     ContainmentResult generic =
-        Contains(p, q, mode, &pool, SweepOptions(false, incremental));
+        Contains(p, q, mode, &pool, SweepOptions(false));
     ASSERT_EQ(compiled.outcome, Outcome::kDecided);
     ASSERT_EQ(generic.outcome, Outcome::kDecided);
     ASSERT_EQ(compiled.contained, generic.contained)
@@ -134,7 +134,7 @@ TEST(CompiledAgreementTest, ParallelSweepsAgreeAcrossThreadCounts) {
       EngineContext ctx(config);
       for (bool compiled : {true, false}) {
         ContainmentResult r = Contains(p, q, mode, &pool, &ctx,
-                                       SweepOptions(compiled, true));
+                                       SweepOptions(compiled));
         ASSERT_EQ(r.outcome, Outcome::kDecided);
         if (!reference.has_value()) reference = r.contained;
         ASSERT_EQ(r.contained, *reference)
@@ -154,14 +154,14 @@ TEST(CompiledAgreementTest, AllocFaultMidCompileFallsBackToGeneric) {
   Tpq p = MustParseTpq("a//b[c]//d", &pool);
   Tpq q = MustParseTpq("a//b//d", &pool);
   ContainmentResult reference =
-      Contains(p, q, Mode::kWeak, &pool, SweepOptions(false, true));
+      Contains(p, q, Mode::kWeak, &pool, SweepOptions(false));
   ASSERT_EQ(reference.outcome, Outcome::kDecided);
   for (int64_t fail_at : {1, 2}) {
     EngineConfig config;
     config.fault_plan.fail_alloc_at = fail_at;
     EngineContext ctx(config);
     ContainmentResult r =
-        Contains(p, q, Mode::kWeak, &pool, &ctx, SweepOptions(true, true));
+        Contains(p, q, Mode::kWeak, &pool, &ctx, SweepOptions(true));
     ASSERT_EQ(r.outcome, Outcome::kDecided) << "fail_alloc_at " << fail_at;
     EXPECT_EQ(r.contained, reference.contained);
     EXPECT_FALSE(ctx.budget().Exhausted());
@@ -173,7 +173,7 @@ TEST(CompiledAgreementTest, AllocFaultMidCompileFallsBackToGeneric) {
   // Without a fault the same sweep compiles and executes the program.
   EngineContext clean;
   ContainmentResult r =
-      Contains(p, q, Mode::kWeak, &pool, &clean, SweepOptions(true, true));
+      Contains(p, q, Mode::kWeak, &pool, &clean, SweepOptions(true));
   ASSERT_EQ(r.outcome, Outcome::kDecided);
   EXPECT_EQ(r.contained, reference.contained);
   EXPECT_EQ(clean.stats().programs_compiled.load(std::memory_order_relaxed),
@@ -209,9 +209,9 @@ TEST(CompiledAgreementTest, OversizePatternFallsBackWithCellParity) {
   Tpq small = MustParseTpq("a//a", &pool);
   EngineContext ctx;
   ContainmentResult compiled = Contains(big, small, Mode::kWeak, &pool, &ctx,
-                                        SweepOptions(true, true));
+                                        SweepOptions(true));
   ContainmentResult generic = Contains(big, small, Mode::kWeak, &pool,
-                                       SweepOptions(false, true));
+                                       SweepOptions(false));
   ASSERT_EQ(compiled.outcome, Outcome::kDecided);
   EXPECT_EQ(compiled.contained, generic.contained);
   // q ("a//a") is compilable, so the sweep still compiles; the oversize p
@@ -219,7 +219,7 @@ TEST(CompiledAgreementTest, OversizePatternFallsBackWithCellParity) {
   EXPECT_EQ(MatcherProgram::Compile(big, &ctx.budget()), nullptr);
 }
 
-// The incremental compiled sweep must agree with the from-scratch compiled
+// The incremental compiled sweep must agree with the from-scratch reference
 // sweep (the suffix recompute is the compiled twin of the generic
 // EvalIncremental invariant).
 TEST(CompiledAgreementTest, IncrementalAndScratchCompiledSweepsAgree) {
@@ -236,19 +236,17 @@ TEST(CompiledAgreementTest, IncrementalAndScratchCompiledSweepsAgree) {
     Tpq p = RandomTpq(popts, &rng);
     Tpq q = RandomTpq(qopts, &rng);
     ContainmentResult incremental =
-        Contains(p, q, Mode::kWeak, &pool, SweepOptions(true, true));
-    ContainmentResult scratch =
-        Contains(p, q, Mode::kWeak, &pool, SweepOptions(true, false));
+        Contains(p, q, Mode::kWeak, &pool, SweepOptions(true));
+    const std::optional<std::vector<int32_t>> scratch =
+        NaiveFirstCounterexample(
+            p, q, Mode::kWeak, &pool,
+            EngineSweepBound(q, Mode::kWeak,
+                             ContainmentOptions::Bound::kAggressive, &pool));
     ASSERT_EQ(incremental.outcome, Outcome::kDecided);
-    ASSERT_EQ(scratch.outcome, Outcome::kDecided);
-    ASSERT_EQ(incremental.contained, scratch.contained)
+    ASSERT_EQ(incremental.contained, !scratch.has_value())
         << p.ToString(pool) << " in " << q.ToString(pool);
-    ASSERT_EQ(incremental.counterexample_lengths.has_value(),
-              scratch.counterexample_lengths.has_value());
-    if (incremental.counterexample_lengths.has_value()) {
-      EXPECT_EQ(*incremental.counterexample_lengths,
-                *scratch.counterexample_lengths);
-    }
+    EXPECT_EQ(incremental.counterexample_lengths, scratch)
+        << p.ToString(pool) << " in " << q.ToString(pool);
   }
 }
 

@@ -11,7 +11,8 @@
 //   * a deliberately delayed pool worker changes the schedule, never the
 //     answer.
 //
-// Routes covered: canonical sweep (sequential, from-scratch, parallel),
+// Routes covered: canonical sweep (sequential, parallel, and parallel with
+// every tree a chunk's first, full build),
 // schema engine (antichain on/off), the Theorem 6.4 coNP route, graph
 // matching and graph-DTD satisfaction.
 
@@ -46,14 +47,12 @@ struct Route {
   std::function<RouteOutcome(EngineContext*)> run;
 };
 
-RouteOutcome RunContain(EngineContext* ctx, const char* ps, const char* qs,
-                        bool incremental) {
+RouteOutcome RunContain(EngineContext* ctx, const char* ps, const char* qs) {
   LabelPool pool;
   Tpq p = MustParseTpq(ps, &pool);
   Tpq q = MustParseTpq(qs, &pool);
   ContainmentOptions options;
   options.force_canonical = true;
-  options.incremental = incremental;
   ContainmentResult r = Contains(p, q, Mode::kWeak, &pool, ctx, options);
   return {r.outcome == Outcome::kDecided, r.contained, r.reason};
 }
@@ -113,11 +112,7 @@ std::vector<Route> AllRoutes() {
   return {
       {"sweep-incremental",
        [](EngineContext* ctx) {
-         return RunContain(ctx, "a//b//c", "a//c//b", /*incremental=*/true);
-       }},
-      {"sweep-scratch",
-       [](EngineContext* ctx) {
-         return RunContain(ctx, "a//b//c", "a//*//c", /*incremental=*/false);
+         return RunContain(ctx, "a//b//c", "a//c//b");
        }},
       {"schema-antichain",
        [](EngineContext* ctx) { return RunSchema(ctx, /*antichain=*/true); }},
@@ -227,8 +222,7 @@ TEST(FaultMatrixTest, ParallelSweepExhaustionAndCancellation) {
   // Patterns with enough descendant edges that the length-vector space
   // clears even a tiny parallel threshold, so the pool genuinely engages.
   Route route{"sweep-parallel", [](EngineContext* ctx) {
-                return RunContain(ctx, "a//b//c//b", "a//*//c//b",
-                                  /*incremental=*/true);
+                return RunContain(ctx, "a//b//c//b", "a//*//c//b");
               }};
   Probe probe;
   {
@@ -271,6 +265,67 @@ TEST(FaultMatrixTest, ParallelSweepExhaustionAndCancellation) {
   }
 }
 
+TEST(FaultMatrixTest, FaultsOnChunkFirstFullBuilds) {
+  // A chunk's first tree is its only full build; with one-vector chunks
+  // every tree of the parallel sweep is one, so every injected fault —
+  // exhaustion, cancellation or a failed allocation — lands on a full
+  // build somewhere in the length-vector space, not only at its start.
+  auto config_with = [](const FaultPlan& plan) {
+    EngineConfig config;
+    config.threads = 3;
+    config.parallel_threshold = 1;
+    config.parallel_chunk = 1;
+    config.fault_plan = plan;
+    return config;
+  };
+  auto run = [](EngineContext* ctx) {
+    return RunContain(ctx, "a//b//c", "a//*//c");
+  };
+  Probe probe;
+  {
+    FaultPlan never;
+    never.exhaust_at_charge = std::numeric_limits<int64_t>::max();
+    EngineContext ctx(config_with(never));
+    RouteOutcome out = run(&ctx);
+    ASSERT_TRUE(out.decided);
+    probe.charges = ctx.fault_injector()->charges_seen();
+    probe.allocs = ctx.fault_injector()->allocs_seen();
+    probe.answer = out.answer;
+  }
+  ASSERT_GT(probe.charges, 0);
+  struct Fault {
+    FaultPlan plan;
+    ExhaustionReason reason;
+  };
+  std::vector<Fault> faults;
+  for (int64_t n : FaultPoints(probe.charges, 16)) {
+    Fault exhaust{{}, ExhaustionReason::kSteps};
+    exhaust.plan.exhaust_at_charge = n;
+    Fault cancel{{}, ExhaustionReason::kCancelled};
+    cancel.plan.cancel_at_charge = n;
+    faults.push_back(exhaust);
+    faults.push_back(cancel);
+  }
+  for (int64_t k : FaultPoints(probe.allocs, 16)) {
+    Fault alloc{{}, ExhaustionReason::kMemory};
+    alloc.plan.fail_alloc_at = k;
+    faults.push_back(alloc);
+  }
+  for (const Fault& fault : faults) {
+    EngineContext ctx(config_with(fault.plan));
+    RouteOutcome out = run(&ctx);
+    if (out.decided) {
+      EXPECT_EQ(out.answer, probe.answer);
+    } else {
+      EXPECT_EQ(out.reason, fault.reason);
+    }
+    ctx.ResetBudget();
+    RouteOutcome again = run(&ctx);
+    ASSERT_TRUE(again.decided);
+    EXPECT_EQ(again.answer, probe.answer);
+  }
+}
+
 TEST(FaultInjectionTest, DelayedWorkerChangesScheduleNotAnswer) {
   for (int delayed : {0, 1, 2}) {
     EngineConfig config;
@@ -280,12 +335,10 @@ TEST(FaultInjectionTest, DelayedWorkerChangesScheduleNotAnswer) {
     config.fault_plan.delay_worker = delayed;
     config.fault_plan.delay_worker_ms = 5;
     EngineContext ctx(config);
-    RouteOutcome out =
-        RunContain(&ctx, "a//b//c//b", "a//*//c//b", /*incremental=*/true);
+    RouteOutcome out = RunContain(&ctx, "a//b//c//b", "a//*//c//b");
     ASSERT_TRUE(out.decided) << "delayed worker " << delayed;
     RouteOutcome reference =
-        RunContain(&EngineContext::Default(), "a//b//c//b", "a//*//c//b",
-                   /*incremental=*/true);
+        RunContain(&EngineContext::Default(), "a//b//c//b", "a//*//c//b");
     EXPECT_EQ(out.answer, reference.answer);
   }
 }
@@ -301,14 +354,12 @@ TEST(FaultInjectionTest, DelayedWorkerRacedAgainstCancellation) {
   config.fault_plan.delay_worker_ms = 10;
   config.fault_plan.cancel_at_charge = 5;
   EngineContext ctx(config);
-  RouteOutcome out =
-      RunContain(&ctx, "a//b//c//b", "a//*//c//b", /*incremental=*/true);
+  RouteOutcome out = RunContain(&ctx, "a//b//c//b", "a//*//c//b");
   if (!out.decided) {
     EXPECT_EQ(out.reason, ExhaustionReason::kCancelled);
   }
   ctx.ResetBudget();
-  RouteOutcome again =
-      RunContain(&ctx, "a//b//c//b", "a//*//c//b", /*incremental=*/true);
+  RouteOutcome again = RunContain(&ctx, "a//b//c//b", "a//*//c//b");
   EXPECT_TRUE(again.decided);
 }
 

@@ -25,6 +25,7 @@
 #include "match/embedding.h"
 #include "pattern/canonical.h"
 #include "reductions/hardness_families.h"
+#include "reference_sweep.h"
 #include "service/query_service.h"
 
 namespace tpc {
@@ -73,33 +74,12 @@ ConpGroupPatterns MakeConpGroupPatterns(LabelPool* pool) {
   return out;
 }
 
-/// Naive reference for the canonical-model sweep: walks the length vectors
-/// of p's descendant edges up to the safe bound |q|+1 in enumeration order,
-/// builds each canonical tree from scratch and decides it with a fresh
-/// scalar-kernel `Matcher`.  Returns the first counterexample's length
-/// vector, or nullopt when q matches every canonical model (contained).
-/// Strong mode matches root-to-root on p's own models, which is what the
-/// engine's Observation 2.3 relabelling decides.
-std::optional<std::vector<int32_t>> NaiveFirstCounterexample(
-    const Tpq& p, const Tpq& q, Mode mode, LabelPool* pool) {
-  const LabelId bot = pool->Fresh("_oracle_bot");
-  CanonicalLengthEnumerator lengths(DescendantEdges(p).size(),
-                                    static_cast<int32_t>(q.size()) + 1);
-  do {
-    const Tree t = CanonicalTree(p, lengths.lengths(), bot);
-    Matcher matcher(q, t, /*stats=*/nullptr, /*word_parallel=*/false);
-    const bool matched =
-        mode == Mode::kStrong ? matcher.MatchesStrong() : matcher.MatchesWeak();
-    if (!matched) return lengths.lengths();
-  } while (lengths.Next());
-  return std::nullopt;
-}
-
 // The 500-instance core: sequential grouped decisions must be
 // indistinguishable from solo ones — verdict, outcome, reason, selected
 // algorithm, counterexample lengths AND the member's own step charges —
-// and every member the sweep decided must agree with the naive reference
-// on its verdict and first counterexample.
+// every witness must certify its refutation in the member's mode, and
+// every member the sweep decided must agree with the naive reference on
+// its verdict and first counterexample.
 TEST(GroupAgreementTest, GroupedAgreesWithIndependentOver500Instances) {
   LabelPool pool;
   std::mt19937 rng(47);
@@ -154,6 +134,18 @@ TEST(GroupAgreementTest, GroupedAgreesWithIndependentOver500Instances) {
         EXPECT_EQ(*g.counterexample_lengths, *solo.counterexample_lengths)
             << "trial " << trial << " member " << j;
         ++not_contained;
+      }
+      if (g.counterexample.has_value()) {
+        // The witness certifies the refutation in the member's own mode: a
+        // tree of L(p) that q does not match (in strong mode, with p's root
+        // label restored after the Observation 2.3 relabelling).
+        const bool strong = mode == Mode::kStrong;
+        Matcher on_p(p, *g.counterexample, nullptr);
+        Matcher on_q(qs[static_cast<size_t>(j)], *g.counterexample, nullptr);
+        EXPECT_TRUE(strong ? on_p.MatchesStrong() : on_p.MatchesWeak())
+            << "witness not in L(p), trial " << trial << " member " << j;
+        EXPECT_FALSE(strong ? on_q.MatchesStrong() : on_q.MatchesWeak())
+            << "witness matched by q, trial " << trial << " member " << j;
       }
       // Attribution identity: the member's grouped charges equal its solo
       // charges — shared tree builds are free for members by construction.
@@ -328,8 +320,9 @@ TEST(GroupAgreementTest, ConpGroupSharesOneEnumeration) {
       << "grouping failed to amortize tree rebuilds";
 }
 
-// Service-level twin: ContainsBatch with grouping on and off must produce
-// identical verdicts, and only the grouped service may form sweep groups.
+// Service level: ContainsBatch, which groups every deferred pair, must
+// produce the verdicts of per-item `QueryService::Contains` calls on a fresh
+// service, and only the batch may form sweep groups.
 TEST(GroupAgreementTest, BatchGroupingIsVerdictInvisible) {
   LabelPool pool;
   ConpFamilyInstance inst = BuildConpFamily(3, &pool);
@@ -351,17 +344,17 @@ TEST(GroupAgreementTest, BatchGroupingIsVerdictInvisible) {
   items.push_back({inst.p, pats.b, Mode::kStrong});
   items.push_back({inst.p, pats.a, Mode::kWeak});  // duplicate, folded
 
-  ServiceOptions grouped_opts;
   EngineContext grouped_ctx;
-  QueryService grouped_service(&pool, &grouped_ctx, grouped_opts);
+  QueryService grouped_service(&pool, &grouped_ctx);
   std::vector<ContainmentResult> grouped =
       grouped_service.ContainsBatch(items);
 
-  ServiceOptions twin_opts;
-  twin_opts.containment.grouped_sweep = false;
   EngineContext twin_ctx;
-  QueryService twin_service(&pool, &twin_ctx, twin_opts);
-  std::vector<ContainmentResult> twin = twin_service.ContainsBatch(items);
+  QueryService twin_service(&pool, &twin_ctx);
+  std::vector<ContainmentResult> twin;
+  for (const QueryService::BatchItem& item : items) {
+    twin.push_back(twin_service.Contains(item.p, item.q, item.mode));
+  }
 
   ASSERT_EQ(grouped.size(), items.size());
   for (size_t i = 0; i < items.size(); ++i) {

@@ -3,8 +3,7 @@
 // kernels share the postorder row layout and must produce bit-identical
 // tables — checked cell by cell over 500 random instances — and identical
 // containment verdicts (including counterexample length vectors) through
-// `ContainmentOptions::word_parallel`, in both from-scratch and incremental
-// sweeps.
+// `ContainmentOptions::word_parallel`, through incremental sweeps.
 
 #include <gtest/gtest.h>
 
@@ -21,11 +20,10 @@
 namespace tpc {
 namespace {
 
-ContainmentOptions SweepOptions(bool word_parallel, bool incremental) {
+ContainmentOptions SweepOptions(bool word_parallel) {
   ContainmentOptions options;
   options.force_canonical = true;
   options.bound = ContainmentOptions::Bound::kAggressive;
-  options.incremental = incremental;
   options.word_parallel = word_parallel;
   return options;
 }
@@ -89,11 +87,8 @@ TEST(WordParallelAgreementTest, ContainmentVerdictsIdentical) {
     Tpq p = RandomTpq(popts, &rng);
     Tpq q = RandomTpq(qopts, &rng);
     Mode mode = trial % 4 == 0 ? Mode::kStrong : Mode::kWeak;
-    bool incremental = trial % 2 == 0;
-    ContainmentResult word =
-        Contains(p, q, mode, &pool, SweepOptions(true, incremental));
-    ContainmentResult scalar =
-        Contains(p, q, mode, &pool, SweepOptions(false, incremental));
+    ContainmentResult word = Contains(p, q, mode, &pool, SweepOptions(true));
+    ContainmentResult scalar = Contains(p, q, mode, &pool, SweepOptions(false));
     ASSERT_EQ(word.outcome, Outcome::kDecided);
     ASSERT_EQ(scalar.outcome, Outcome::kDecided);
     ASSERT_EQ(word.contained, scalar.contained)
@@ -117,7 +112,7 @@ TEST(WordParallelAgreementTest, WordKernelReportsFoldAndSkipCounters) {
   Tpq q = MustParseTpq("a//b//d", &pool);
   EngineContext word_ctx;
   ContainmentResult r =
-      Contains(p, q, Mode::kWeak, &pool, &word_ctx, SweepOptions(true, true));
+      Contains(p, q, Mode::kWeak, &pool, &word_ctx, SweepOptions(true));
   ASSERT_EQ(r.outcome, Outcome::kDecided);
   EXPECT_GT(word_ctx.stats().dp_words_folded.load(std::memory_order_relaxed),
             0);
