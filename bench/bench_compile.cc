@@ -3,15 +3,19 @@
 //
 // The acceptance criteria this suite pins:
 //
-//   * BM_Compile_SweepWork{Compiled,Generic} — the same canonical-model
-//     sweep with the compiled path on vs off.  The exported
-//     `folded_per_decision` counter (dp_words_folded / decisions) must be
-//     >= 5x smaller compiled, because canonical models are dominated by
-//     ⊥-chain spines and the compiled chain tile folds *zero* words per
-//     single-child node, where the generic kernel folds two per child.
+//   * BM_Compile_SweepWorkCompiled — a chain-heavy canonical-model sweep
+//     whose member is compiled.  The exported `folded_per_decision` counter
+//     (dp_words_folded / decisions) stays small because canonical models are
+//     dominated by ⊥-chain spines and the compiled chain tile folds *zero*
+//     words per single-child node, where the generic kernel folds two per
+//     child.
+//   * BM_Compile_SweepWorkGeneric — the oversize row: a sweep whose member
+//     has more than 64 nodes, so every tree runs the generic DP (the
+//     `programs_compiled` counter must stay 0).
 //   * BM_Compile_HotExec{Compiled,Generic} — the single-tree hot-pattern
-//     shape (the service probe path): one compiled program re-executed
-//     against one canonical model, vs a fresh generic matcher per decision.
+//     shape (the service probe path): one compiled program re-executed by
+//     the column executor against one canonical model, vs a fresh generic
+//     matcher per decision.
 //   * BM_Compile_ZipfSteadyState — a warm query service over a zipf stream
 //     with compilation on.  The exported `programs_compiled_steady` counter
 //     is the number of compiles in the *timed* region; steady state must
@@ -28,6 +32,7 @@
 #include <algorithm>
 #include <cmath>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "base/label.h"
@@ -43,15 +48,16 @@
 namespace tpc {
 namespace {
 
-/// The chain-heavy A/B pair: three descendant edges in p make the sweep
-/// enumerate (bound+1)^3 canonical models whose shape is almost entirely
-/// ⊥-chain spine, and q stays under the 64-node program model.
+/// A sweep benchmark pair.
 struct SweepPair {
   LabelPool pool;
   Tpq p;
   Tpq q;
 };
 
+/// The chain-heavy pair: three descendant edges in p make the sweep
+/// enumerate (bound+1)^3 canonical models whose shape is almost entirely
+/// ⊥-chain spine, and q stays under the 64-node program model.
 SweepPair MakeSweepPair() {
   SweepPair out;
   out.p = MustParseTpq("a//b[c]//d//e", &out.pool);
@@ -59,25 +65,30 @@ SweepPair MakeSweepPair() {
   return out;
 }
 
-ContainmentOptions SweepOptions(bool compiled) {
-  ContainmentOptions options;
-  options.force_canonical = true;
-  // The safe bound (|q|+1) keeps the chains long enough to be
-  // chain-dominated, which is the workload the chain tile exists for.
-  options.bound = ContainmentOptions::Bound::kSafe;
-  options.compiled_matcher = compiled;
-  return options;
+/// The oversize pair: q repeats a branch that every canonical model of p
+/// matches until it passes the 64-node program model, so the sweep runs
+/// the generic DP on every tree.
+SweepPair MakeOversizeSweepPair() {
+  SweepPair out;
+  out.p = MustParseTpq("a//b[c]//d//e", &out.pool);
+  std::string q = "a";
+  for (int i = 0; i < 22; ++i) q += "[//*/*//e]";
+  out.q = MustParseTpq(q.c_str(), &out.pool);
+  return out;
 }
 
-void RunSweepWork(benchmark::State& state, bool compiled) {
-  SweepPair pair = MakeSweepPair();
+void RunSweepWork(benchmark::State& state, SweepPair* pair,
+                  ContainmentOptions::Bound bound) {
+  ContainmentOptions options;
+  options.force_canonical = true;
+  options.bound = bound;
   EngineContext ctx;
   int64_t decisions = 0;
   bool expected = false;
   bool first = true;
   for (auto _ : state) {
-    ContainmentResult r = Contains(pair.p, pair.q, Mode::kWeak, &pair.pool,
-                                   &ctx, SweepOptions(compiled));
+    ContainmentResult r =
+        Contains(pair->p, pair->q, Mode::kWeak, &pair->pool, &ctx, options);
     if (r.outcome != Outcome::kDecided) {
       state.SkipWithError("sweep undecided");
       return;
@@ -86,7 +97,7 @@ void RunSweepWork(benchmark::State& state, bool compiled) {
       expected = r.contained;
       first = false;
     } else if (r.contained != expected) {
-      state.SkipWithError("compiled path changed a verdict");
+      state.SkipWithError("sweep changed a verdict");
       return;
     }
     ++decisions;
@@ -106,12 +117,22 @@ void RunSweepWork(benchmark::State& state, bool compiled) {
 }
 
 void BM_Compile_SweepWorkCompiled(benchmark::State& state) {
-  RunSweepWork(state, /*compiled=*/true);
+  // The safe bound (|q|+1) keeps the chains long enough to be
+  // chain-dominated, which is the workload the chain tile exists for.
+  SweepPair pair = MakeSweepPair();
+  RunSweepWork(state, &pair, ContainmentOptions::Bound::kSafe);
 }
 BENCHMARK(BM_Compile_SweepWorkCompiled)->Unit(benchmark::kMillisecond);
 
 void BM_Compile_SweepWorkGeneric(benchmark::State& state) {
-  RunSweepWork(state, /*compiled=*/false);
+  SweepPair pair = MakeOversizeSweepPair();
+  if (MatcherProgram::Compilable(pair.q)) {
+    state.SkipWithError("pattern must be oversize");
+    return;
+  }
+  // The aggressive bound (longest wildcard chain of q, plus one) keeps the
+  // oversize sweep at 4^3 models.
+  RunSweepWork(state, &pair, ContainmentOptions::Bound::kAggressive);
 }
 BENCHMARK(BM_Compile_SweepWorkGeneric)->Unit(benchmark::kMillisecond);
 
@@ -128,13 +149,15 @@ void RunHotExec(benchmark::State& state, bool compiled) {
     state.SkipWithError("pattern must be compilable");
     return;
   }
-  ProgramExec exec;
-  const bool expected = exec.Run(*program, t, nullptr).weak;
+  ProgramSweep exec;
+  exec.EvalFull(*program, t, nullptr);
+  const bool expected = exec.MatchesWeak();
   int64_t decisions = 0;
   for (auto _ : state) {
     bool weak;
     if (compiled) {
-      weak = exec.Run(*program, t, &stats).weak;
+      exec.EvalFull(*program, t, &stats);
+      weak = exec.MatchesWeak();
     } else {
       Matcher matcher(q, t, &stats);
       weak = matcher.MatchesWeak();

@@ -152,13 +152,11 @@ bool VerdictsMatch(benchmark::State& state,
   return true;
 }
 
-ServiceOptions MakeServiceOptions(bool use_cache, bool use_prefilters,
-                                  bool compiled = true) {
+ServiceOptions MakeServiceOptions(bool use_cache, bool use_prefilters) {
   ServiceOptions options;
   options.use_cache = use_cache;
   options.use_prefilters = use_prefilters;
   options.containment = AggressiveOptions();
-  options.containment.compiled_matcher = compiled;
   return options;
 }
 
@@ -240,23 +238,6 @@ void BM_Service_ZipfWarmFastPath(benchmark::State& state) {
   ExportServiceCounters(state, &ctx);
 }
 BENCHMARK(BM_Service_ZipfWarmFastPath)->Unit(benchmark::kMillisecond);
-
-void BM_Service_ZipfWarmNoCompile(benchmark::State& state) {
-  // The compiled-path axis: identical to ZipfWarmFastPath but with pattern
-  // compilation off, so the steady-state delta is attributable to the flat
-  // matcher programs alone (compare `dp_words_folded` across the twins).
-  ServiceWorkload w = MakeServiceWorkload();
-  EngineContext ctx;
-  QueryService service(&w.pool, &ctx,
-                       MakeServiceOptions(true, true, /*compiled=*/false));
-  if (!RunStreamOnce(state, &service, w)) return;
-  for (auto _ : state) {
-    if (!RunStreamOnce(state, &service, w)) return;
-  }
-  state.SetItemsProcessed(state.iterations() * StreamSize(w));
-  ExportServiceCounters(state, &ctx);
-}
-BENCHMARK(BM_Service_ZipfWarmNoCompile)->Unit(benchmark::kMillisecond);
 
 /// The probe-prefilter showcase pair: p_n from the coNP family and
 /// q = r/*/*/*/c ("a c at depth exactly 4 below the root"), matched by a

@@ -192,22 +192,19 @@ BENCHMARK(BM_CoNP_ParallelSweep)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// The incremental canonical sweep on the coNP family.  Args are
-/// (branches, 1, word_parallel); the middle argument is always 1 so the row
-/// names match earlier baselines, which also recorded a from-scratch twin.
-/// The DP counters are per decision: `dp_cells_filled` + `dp_cells_reused`
-/// is Σ|q|·|t| over the swept models, the spine-suffix memoization moving
-/// well over half of it into `dp_cells_reused`; compare the wall time
-/// across the two word_parallel settings, where the fold kernel replaces
-/// the per-candidate scan (`dp_words_folded` / `dp_rows_skipped` report the
-/// word-path work; both stay 0 on the scalar path's leaf rows).
+/// (branches, 1, 1); the trailing arguments are always 1 so the row names
+/// match earlier baselines, which also recorded from-scratch and
+/// scalar-kernel twins.  The DP counters are per decision: `dp_cells_filled`
+/// + `dp_cells_reused` is Σ|q|·|t| over the swept models, the spine-suffix
+/// memoization moving well over half of it into `dp_cells_reused`;
+/// `dp_words_folded` / `dp_rows_skipped` report the fold work and the leaf
+/// rows that skipped it.
 void BM_CoNP_IncrementalSweep(benchmark::State& state) {
   int32_t n = static_cast<int32_t>(state.range(0));
-  bool word_parallel = state.range(2) != 0;
   LabelPool pool;
   ConpFamilyInstance inst = BuildConpFamily(n, &pool);
   ContainmentOptions options;
   options.bound = ContainmentOptions::Bound::kAggressive;
-  options.word_parallel = word_parallel;
   EngineContext ctx;
   int64_t decided = 0;
   for (auto _ : state) {
@@ -227,7 +224,6 @@ void BM_CoNP_IncrementalSweep(benchmark::State& state) {
                               benchmark::Counter::kAvgIterations);
   };
   state.counters["branches"] = n;
-  state.counters["word_parallel"] = word_parallel ? 1 : 0;
   state.counters["decisions"] = static_cast<double>(decided);
   state.counters["dp_cells_filled"] =
       per_decision(&EngineStats::dp_cells_filled);
@@ -240,9 +236,7 @@ void BM_CoNP_IncrementalSweep(benchmark::State& state) {
   state.counters["trees_rebuilt_from_spine"] =
       per_decision(&EngineStats::trees_rebuilt_from_spine);
 }
-BENCHMARK(BM_CoNP_IncrementalSweep)
-    ->ArgsProduct({{4, 5, 6, 7}, {1}, {1}})
-    ->ArgsProduct({{5, 6, 7}, {1}, {0}});
+BENCHMARK(BM_CoNP_IncrementalSweep)->ArgsProduct({{4, 5, 6, 7}, {1}, {1}});
 
 /// Same cell, non-contained side: the witness is found without a full sweep.
 void BM_CoNP_CounterexampleSearch(benchmark::State& state) {

@@ -31,11 +31,6 @@
 //   --memory <bytes> tracked-memory budget; exceeding it exits 3 (UNDECIDED)
 //   --threads <n>    worker threads for canonical sweeps and schema rounds
 //   --no-antichain   disable the schema engine's subsumption pruning (A/B)
-//   --no-word-parallel  scalar embedding-DP fill instead of the word-parallel
-//                    kernel (A/B: verdicts must be identical)
-//   --no-compile     never lower patterns to flat matcher programs
-//                    (src/compile/); always use the generic embedding DP
-//                    (A/B: verdicts must be identical)
 //   --fault-exhaust-at <n> / --fault-alloc-at <k> / --fault-cancel-at <n>
 //                    deterministic fault injection (chaos drills): force
 //                    budget exhaustion at the nth charge, fail the kth
@@ -75,7 +70,7 @@
 #include "contain/minimize.h"
 #include "dtd/dtd.h"
 #include "engine/engine.h"
-#include "match/embedding.h"
+#include "compile/sweep_bank.h"
 #include "pattern/tpq_parser.h"
 #include "schema/schema_engine.h"
 #include "serve/protocol.h"
@@ -120,8 +115,6 @@ int Usage() {
                "  --threads <n>    worker threads (canonical sweeps and\n"
                "                   schema-engine saturation rounds)\n"
                "  --no-antichain   disable schema-engine subsumption pruning\n"
-               "  --no-word-parallel  scalar embedding-DP fill (A/B)\n"
-               "  --no-compile     disable compiled matcher programs (A/B)\n"
                "  --fault-exhaust-at <n>  force exhaustion at the nth charge\n"
                "  --fault-alloc-at <k>    fail the kth tracked allocation\n"
                "  --fault-cancel-at <n>   cancel at the nth charge\n");
@@ -209,12 +202,6 @@ int main(int argc, char** argv) {
       print_stats = true;
     } else if (std::strcmp(argv[i], "--no-antichain") == 0) {
       schema_options.antichain = false;
-    } else if (std::strcmp(argv[i], "--no-word-parallel") == 0) {
-      contain_options.word_parallel = false;
-      service_options.containment.word_parallel = false;
-    } else if (std::strcmp(argv[i], "--no-compile") == 0) {
-      contain_options.compiled_matcher = false;
-      service_options.containment.compiled_matcher = false;
     } else if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc) {
       batch_file = argv[++i];
     } else if (std::strcmp(argv[i], "--no-cache") == 0) {
@@ -451,12 +438,13 @@ int main(int argc, char** argv) {
     }
     Mode mode = args.size() > 3 && IsModeWord(args[3]) ? ParseMode(args[3])
                                                        : Mode::kWeak;
-    Matcher matcher(q, *t, &ctx.stats(), contain_options.word_parallel);
-    bool matches =
-        mode == Mode::kStrong ? matcher.MatchesStrong() : matcher.MatchesWeak();
-    std::printf("%s\n", matches ? "match" : "no match");
-    return Finish(&ctx, print_stats, false, ExhaustionReason::kNone,
-                  matches ? 0 : 1);
+    const std::optional<bool> matches =
+        MatchTree(q, /*program=*/nullptr, *t, mode == Mode::kStrong, &ctx);
+    if (matches.has_value()) {
+      std::printf("%s\n", *matches ? "match" : "no match");
+    }
+    return Finish(&ctx, print_stats, !matches.has_value(),
+                  ctx.budget().reason(), matches == true ? 0 : 1);
   }
   return Usage();
 }

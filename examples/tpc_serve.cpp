@@ -22,7 +22,7 @@
 //   --max-queued <n>    global scheduler backlog cap (shed above)
 //   --snapshot-load <f> warm-start the service before listening
 //   --snapshot-save <f> flush the warm tier after the drain completes
-//   --no-cache / --no-prefilter / --no-lattice / --no-compile
+//   --no-cache / --no-prefilter / --no-lattice
 //                       service A/B switches (as in tpc_cli --batch)
 //   --group-window <n>  coalesce up to n same-tenant requests sharing the
 //                       head's (pattern p, mode) key into one grouped
@@ -65,7 +65,7 @@ int Usage() {
       "  --max-queued <n>       global backlog cap (default 4096)\n"
       "  --snapshot-load <f>    warm-start from a snapshot\n"
       "  --snapshot-save <f>    flush the warm tier on drain\n"
-      "  --no-cache | --no-prefilter | --no-lattice | --no-compile\n"
+      "  --no-cache | --no-prefilter | --no-lattice\n"
       "  --group-window <n>     coalescing window for the grouped sweep\n"
       "                         (default 4; 1 disables)\n"
       "  --fault-exhaust-at <n> | --fault-alloc-at <k> | --fault-cancel-at "
@@ -168,8 +168,6 @@ int main(int argc, char** argv) {
       service_options.use_prefilters = false;
     } else if (std::strcmp(argv[i], "--no-lattice") == 0) {
       service_options.use_lattice = false;
-    } else if (std::strcmp(argv[i], "--no-compile") == 0) {
-      service_options.containment.compiled_matcher = false;
     } else if (std::strcmp(argv[i], "--group-window") == 0) {
       options.group_window = static_cast<int>(
           ParseCountOrDie("--group-window", next("--group-window")));

@@ -1,23 +1,22 @@
 #!/usr/bin/env bash
 # Records the benchmark baselines: builds the release preset and runs
 #   * bench_table1_containment (the P/coNP grid, the chunked-parallel sweep
-#     and the incremental sweep — twinned word-parallel vs scalar DP fill,
-#     reporting the per-decision `dp_cells_filled`/`dp_cells_reused` and
+#     and the incremental sweep, reporting the per-decision
+#     `dp_cells_filled`/`dp_cells_reused` and
 #     `dp_words_folded`/`dp_rows_skipped` kernel counters) into
 #     BENCH_table1.json, and
 #   * bench_table45_schema_containment (the schema-aware P/coNP/EXPTIME
 #     cells, including the antichain on/off A/B twins, with every engine
 #     and automata counter per decision) into BENCH_table45.json, and
 #   * bench_service (the query-service fast path: zipf stream baseline vs
-#     cold vs warm cache — the warm run now twinned with a no-compile axis
-#     (BM_Service_ZipfWarmNoCompile) so the compiled matcher programs'
-#     contribution is separable — and the probe-prefilter vs sweep A/B on
-#     the coNP refutation family, with `dp_words_folded` and the
+#     cold vs warm cache, and the probe-prefilter vs sweep A/B on the coNP
+#     refutation family, with `dp_words_folded` and the
 #     `programs_compiled`/`program_exec_hits` counters recorded per run)
 #     into BENCH_service.json, and
-#   * bench_compile (pattern compilation: compile latency, the compiled vs
-#     generic per-decision DP work units — `folded_per_decision` must be
-#     >= 5x smaller compiled — and the zipf steady state, which must report
+#   * bench_compile (pattern compilation: compile latency, the per-decision
+#     DP work units of a compiled sweep and of an oversize (> 64-node)
+#     sweep on the generic DP, the single-tree column executor vs a fresh
+#     generic matcher, and the zipf steady state, which must report
 #     `programs_compiled_steady` == 0, i.e. compile cost fully amortized
 #     into warmup) into BENCH_compile.json, and
 #   * bench_persist (the warm-start tier: cold vs warm time-to-first-verdict

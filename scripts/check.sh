@@ -12,19 +12,20 @@
 #                                    mutation and daemon fault suites under
 #                                    asan AND tsan (leaks + races of every
 #                                    injected-fault unwind path)
-#   scripts/check.sh layout          the columnar-layout gate: the TreeView
+#   scripts/check.sh matcher         the matcher gate: the TreeView
 #                                    property sweep (full and resumed
-#                                    index), the word-parallel vs scalar
-#                                    agreement suite, the matcher property
-#                                    suite and the whole-enumeration sweep
-#                                    suites (incremental, Table 1) under
-#                                    asan AND ubsan (out-of-bounds column
-#                                    reads, shift UB in the fold kernels,
-#                                    the resumed index's arithmetic)
-#   scripts/check.sh compile         the pattern-compilation gate: the
-#                                    compiled-vs-generic agreement suite and
-#                                    the program-cache suite under asan AND
-#                                    ubsan (bit/shift UB in the fused ops,
+#                                    index), the generic kernel's and the
+#                                    compiled executor's agreement suites
+#                                    against the reference oracle, the
+#                                    matcher property suite, the program
+#                                    cache suite, the whole-enumeration
+#                                    sweep suites (incremental, Table 1) and
+#                                    the service and snapshot suites (the
+#                                    probe cascade and the mapped-tree check
+#                                    share the single-tree match) under asan
+#                                    AND ubsan (out-of-bounds column reads,
+#                                    shift UB in the fold kernels and fused
+#                                    ops, the resumed index's arithmetic,
 #                                    lifetime bugs in the shared programs)
 #   scripts/check.sh serve           the daemon gate: the wire-protocol
 #                                    mutation matrix, the fair-scheduler
@@ -59,8 +60,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 FAULT_TESTS='fault_injection_test|exhaustion_audit_test|parser_mutation_test|service_fault_test|serve_fault_test'
-LAYOUT_TESTS='tree_view_test|word_parallel_agreement_test|matcher_property_test|incremental_sweep_test|table1_sweep_test'
-COMPILE_TESTS='compiled_agreement_test|program_cache_test'
+MATCHER_TESTS='tree_view_test|word_parallel_agreement_test|matcher_property_test|incremental_sweep_test|table1_sweep_test|compiled_agreement_test|program_cache_test|query_service_test|snapshot_roundtrip_test'
 PERSIST_TESTS='snapshot_roundtrip_test|lattice_agreement_test|service_fault_test'
 SERVE_TESTS='serve_protocol_test|serve_scheduler_test|serve_fault_test'
 GROUP_TESTS='group_agreement_test|group_fault_test|incremental_sweep_test|dispatcher_routing_test|compiled_agreement_test|service_agreement_test|query_service_test'
@@ -81,16 +81,10 @@ elif [[ $1 == faults ]]; then
     run_preset "$preset" -R "$FAULT_TESTS"
   done
   exit 0
-elif [[ $1 == layout ]]; then
-  echo "== columnar-layout gate (view + kernel agreement under asan + ubsan) =="
+elif [[ $1 == matcher ]]; then
+  echo "== matcher gate (kernel + executor agreement, single-tree callers under asan + ubsan) =="
   for preset in asan ubsan; do
-    run_preset "$preset" -R "$LAYOUT_TESTS"
-  done
-  exit 0
-elif [[ $1 == compile ]]; then
-  echo "== pattern-compilation gate (compiled-vs-generic under asan + ubsan) =="
-  for preset in asan ubsan; do
-    run_preset "$preset" -R "$COMPILE_TESTS"
+    run_preset "$preset" -R "$MATCHER_TESTS"
   done
   exit 0
 elif [[ $1 == serve ]]; then
@@ -118,7 +112,7 @@ fi
 for preset in "${presets[@]}"; do
   case "$preset" in
     asan|tsan|ubsan|release) ;;
-    *) echo "usage: $0 [asan|tsan|ubsan|release|faults|layout|compile|persist|serve|group]" >&2; exit 2 ;;
+    *) echo "usage: $0 [asan|tsan|ubsan|release|faults|matcher|persist|serve|group]" >&2; exit 2 ;;
   esac
 done
 

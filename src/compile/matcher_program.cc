@@ -99,69 +99,6 @@ std::shared_ptr<const MatcherProgram> MatcherProgram::Compile(
   return program;
 }
 
-MatcherProgram::ExecResult MatcherProgram::Run(const TreeView& view,
-                                               std::vector<StackFrame>* stack,
-                                               int64_t* words_folded,
-                                               int64_t* rows_skipped) const {
-  assert(!view.empty());
-  stack->clear();
-  const int32_t n = view.size();
-  for (int32_t i = 0; i < n; ++i) {
-    const uint64_t labels_ok = LabelsOk(view.LabelAtPost(i));
-    const int32_t begin = i - view.SubtreeSizeAtPost(i) + 1;
-    if (begin == i) {
-      // Leaf tile: one lookup, no fold, no ops.
-      const uint64_t row = labels_ok & ~internal_mask_;
-      stack->push_back(StackFrame{i, row, row});
-      ++*rows_skipped;
-      continue;
-    }
-    uint64_t acc_c;
-    uint64_t acc_d;
-    StackFrame& top = stack->back();
-    if (top.begin == begin) {
-      // Chain tile: the single child's words never leave the top frame —
-      // no fold work, the dominant case on canonical-model spines.
-      acc_c = top.sat;
-      acc_d = top.desc;
-    } else {
-      // Branch tile: fold the completed child frames off the stack.
-      acc_c = 0;
-      acc_d = 0;
-      while (!stack->empty() && stack->back().begin >= begin) {
-        acc_c |= stack->back().sat;
-        acc_d |= stack->back().desc;
-        *words_folded += 2;
-        stack->pop_back();
-      }
-      stack->push_back(StackFrame{});
-    }
-    const uint64_t sat = ApplyOps(labels_ok, acc_c, acc_d);
-    stack->back() = StackFrame{begin, sat, sat | acc_d};
-  }
-  const StackFrame& root = stack->back();
-  return ExecResult{(root.desc & 1) != 0, (root.sat & 1) != 0};
-}
-
-MatcherProgram::ExecResult ProgramExec::Run(const MatcherProgram& program,
-                                            const Tree& t,
-                                            EngineStats* stats) {
-  int64_t words_folded = 0;
-  int64_t rows_skipped = 0;
-  MatcherProgram::ExecResult result =
-      program.Run(t.View(), &stack_, &words_folded, &rows_skipped);
-  if (stats != nullptr) {
-    stats->embeddings_attempted.fetch_add(1, std::memory_order_relaxed);
-    stats->dp_cells_filled.fetch_add(
-        static_cast<int64_t>(program.pattern_size()) * t.size(),
-        std::memory_order_relaxed);
-    stats->dp_words_folded.fetch_add(words_folded, std::memory_order_relaxed);
-    stats->dp_rows_skipped.fetch_add(rows_skipped, std::memory_order_relaxed);
-    stats->program_exec_hits.fetch_add(1, std::memory_order_relaxed);
-  }
-  return result;
-}
-
 void ProgramSweep::ComputeColumns(const MatcherProgram& program,
                                   int32_t from) {
   const int32_t n = view_.size();
@@ -197,27 +134,38 @@ void ProgramSweep::ComputeColumns(const MatcherProgram& program,
   }
 }
 
+void ProgramSweep::Report(const MatcherProgram& program, int32_t filled,
+                          int32_t reused, EngineStats* stats) const {
+  if (stats == nullptr) return;
+  stats->embeddings_attempted.fetch_add(1, std::memory_order_relaxed);
+  stats->dp_cells_filled.fetch_add(
+      static_cast<int64_t>(filled) * program.pattern_size(),
+      std::memory_order_relaxed);
+  stats->dp_cells_reused.fetch_add(
+      static_cast<int64_t>(reused) * program.pattern_size(),
+      std::memory_order_relaxed);
+  stats->dp_words_folded.fetch_add(words_folded_, std::memory_order_relaxed);
+  stats->dp_rows_skipped.fetch_add(rows_skipped_, std::memory_order_relaxed);
+  stats->program_exec_hits.fetch_add(1, std::memory_order_relaxed);
+}
+
 void ProgramSweep::EvalFull(const MatcherProgram& program, const Tree& t,
                             EngineStats* stats) {
-  program_ = &program;
+  EvalFull(program, t.View(), stats);
   t_ = &t;
-  view_ = t.View();
-  sat_.resize(static_cast<size_t>(t.size()));
-  desc_.resize(static_cast<size_t>(t.size()));
+}
+
+void ProgramSweep::EvalFull(const MatcherProgram& program,
+                            const TreeView& view, EngineStats* stats) {
+  program_ = &program;
+  t_ = nullptr;
+  view_ = view;
+  sat_.resize(static_cast<size_t>(view.size()));
+  desc_.resize(static_cast<size_t>(view.size()));
   words_folded_ = 0;
   rows_skipped_ = 0;
   ComputeColumns(program, 0);
-  if (stats != nullptr) {
-    stats->embeddings_attempted.fetch_add(1, std::memory_order_relaxed);
-    stats->dp_cells_filled.fetch_add(
-        static_cast<int64_t>(program.pattern_size()) * t.size(),
-        std::memory_order_relaxed);
-    stats->dp_words_folded.fetch_add(words_folded_,
-                                     std::memory_order_relaxed);
-    stats->dp_rows_skipped.fetch_add(rows_skipped_,
-                                     std::memory_order_relaxed);
-    stats->program_exec_hits.fetch_add(1, std::memory_order_relaxed);
-  }
+  Report(program, view.size(), 0, stats);
 }
 
 void ProgramSweep::EvalIncremental(const MatcherProgram& program,
@@ -237,20 +185,7 @@ void ProgramSweep::EvalIncremental(const MatcherProgram& program,
   // postorder prefix [0, stable_limit - depth(stable_limit)).
   const int32_t stable_post = stable_limit - t.Depth(stable_limit);
   ComputeColumns(program, stable_post);
-  if (stats != nullptr) {
-    const int64_t recomputed = t.size() - stable_post;
-    stats->embeddings_attempted.fetch_add(1, std::memory_order_relaxed);
-    stats->dp_cells_filled.fetch_add(recomputed * program.pattern_size(),
-                                     std::memory_order_relaxed);
-    stats->dp_cells_reused.fetch_add(
-        static_cast<int64_t>(stable_post) * program.pattern_size(),
-        std::memory_order_relaxed);
-    stats->dp_words_folded.fetch_add(words_folded_,
-                                     std::memory_order_relaxed);
-    stats->dp_rows_skipped.fetch_add(rows_skipped_,
-                                     std::memory_order_relaxed);
-    stats->program_exec_hits.fetch_add(1, std::memory_order_relaxed);
-  }
+  Report(program, t.size() - stable_post, stable_post, stats);
 }
 
 }  // namespace tpc

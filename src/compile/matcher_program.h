@@ -20,21 +20,23 @@
 //   * only descendant-edge children: the descendant-accumulator twin;
 //   * both edge kinds: the two-test fusion.
 //
-// The interpreter streams the tree's postorder columns ascending with three
-// tree-side tiles: a *leaf* short-circuit (one table lookup, no ops), a
-// *chain* step for single-child nodes (the child's sat/desc words stay in
-// registers — zero fold work, which is why compiled sweeps over chain-heavy
-// canonical models report ~an order of magnitude fewer `dp_words_folded`),
-// and a *branch* fold over the child span.  Per internal node it runs the
-// op array — a handful of branch-free ALU ops — instead of the generic
-// fill's scatter machinery, and the one-shot executor keeps only a stack of
-// open subtree roots instead of materializing DP rows.
+// The executor, `ProgramSweep`, streams the tree's postorder columns
+// ascending with three tree-side tiles: a *leaf* short-circuit (one table
+// lookup, no ops), a *chain* step for single-child nodes (the child's
+// sat/desc words are the previous column — zero fold work, which is why
+// compiled sweeps over chain-heavy canonical models report ~an order of
+// magnitude fewer `dp_words_folded`), and a *branch* fold over the child
+// span.  Per internal node it runs the op array — a handful of branch-free
+// ALU ops — instead of the generic fill's scatter machinery.  It keeps one
+// sat and one desc word per tree node, so the canonical enumeration's
+// suffix rebuilds re-run only the invalidated positions; the single-tree
+// callers run it from scratch through `MatchTree` (compile/sweep_bank.h).
 //
 // Programs are immutable and shared: one compiled program may be executed
 // concurrently by every batch worker (executors carry the mutable state).
 // Verdicts are bit-identical to the generic DP by construction — the op
 // tests are the same recurrence restricted to one word — and the agreement
-// suite (tests/compiled_agreement_test.cc) pins that.
+// suite (tests/compiled_agreement_test.cc) pins both against the oracle.
 //
 // Compilation is *speculative*: all table bytes are charged through
 // `TrackedBytes::TryCharge` (soft), so a memory limit or an injected
@@ -74,18 +76,6 @@ class MatcherProgram {
   struct LabelRow {
     LabelId label = kNoLabel;
     uint64_t row = 0;
-  };
-
-  /// One open subtree root during the stack executor's postorder scan.
-  struct StackFrame {
-    int32_t begin = 0;  // first postorder position of this subtree's span
-    uint64_t sat = 0;
-    uint64_t desc = 0;
-  };
-
-  struct ExecResult {
-    bool weak = false;
-    bool strong = false;
   };
 
   /// True iff `q` fits the single-word program model.  Larger patterns fall
@@ -152,13 +142,6 @@ class MatcherProgram {
     return sat;
   }
 
-  /// One-shot verdict scan over the whole tree.  `stack` is caller-provided
-  /// scratch (cleared here); `words_folded`/`rows_skipped` accumulate the
-  /// same work units the generic kernels count, so compiled and generic
-  /// runs are comparable on `dp_words_folded` / `dp_rows_skipped`.
-  ExecResult Run(const TreeView& view, std::vector<StackFrame>* stack,
-                 int64_t* words_folded, int64_t* rows_skipped) const;
-
  private:
   int32_t pattern_size_ = 0;
   uint64_t internal_mask_ = 0;
@@ -171,46 +154,7 @@ class MatcherProgram {
   TrackedBytes tracked_;  // the tables' bytes, held while the program lives
 };
 
-/// Reusable one-shot executor (scratch-pool friendly): owns the stack of
-/// open subtree roots and its high-water byte accounting.  Not thread-safe;
-/// one executor per worker, like `MatcherWorkspace`.
-class ProgramExec {
- public:
-  ProgramExec() = default;
-
-  /// Accounts the scratch a run over `t` may occupy — the frame stack plus
-  /// the tree's columnar storage — high-water.  *Soft*: a refusal (memory
-  /// limit, injected fault) charges nothing and does not exhaust the budget,
-  /// because every call site has the generic DP as a non-allocating-here
-  /// fallback; callers must skip `Run` and fall back when this is false.
-  bool ChargeRun(const Tree& t, Budget* budget) {
-    if (budget != tracked_.budget()) {
-      tracked_.Attach(budget);
-      reserved_ = 0;
-    }
-    const int64_t total =
-        static_cast<int64_t>(t.size()) *
-            static_cast<int64_t>(sizeof(MatcherProgram::StackFrame)) +
-        t.ColumnBytes();
-    if (total <= reserved_) return true;
-    if (!tracked_.TryCharge(total - reserved_)) return false;
-    reserved_ = total;
-    return true;
-  }
-
-  /// Runs `program` over `t`.  With a non-null `stats`, reports one
-  /// attempted embedding, the logical DP size, the kernel work counters and
-  /// one `program_exec_hits`.
-  MatcherProgram::ExecResult Run(const MatcherProgram& program, const Tree& t,
-                                 EngineStats* stats = nullptr);
-
- private:
-  std::vector<MatcherProgram::StackFrame> stack_;
-  int64_t reserved_ = 0;  // high-water mark of soft charges
-  TrackedBytes tracked_;
-};
-
-/// Sweep-mode executor: keeps single-word sat/desc *columns* for the whole
+/// The compiled executor: keeps single-word sat/desc *columns* for the whole
 /// tree so the canonical enumeration's suffix rebuilds can re-run only the
 /// invalidated positions, exactly like `MatcherWorkspace::EvalIncremental`.
 /// Reports the same `dp_cells_filled` / `dp_cells_reused` accounting as the
@@ -222,15 +166,31 @@ class ProgramSweep {
 
   /// High-water byte accounting for the columns + the tree's columnar
   /// storage (the compiled twin of `MatcherWorkspace::ChargeTables`).
+  /// False means the budget refused and is exhausted.
   bool ChargeTables(const Tree& t, Budget* budget) {
     tracked_.Attach(budget);
-    return tracked_.Reserve(2 * static_cast<int64_t>(t.size()) *
-                                static_cast<int64_t>(sizeof(uint64_t)) +
-                            t.ColumnBytes());
+    return tracked_.Reserve(TableBytes(t.size(), t.ColumnBytes()));
   }
 
-  /// Evaluates from scratch.
+  /// The soft twin, for the single-tree match that has the generic DP to
+  /// fall back on: `column_bytes` is the tree's columnar storage
+  /// (`Tree::ColumnBytes`, or `TreeView::AdoptedBytes` for a mapped view).
+  /// A refusal (memory limit, injected fault) charges nothing and does not
+  /// exhaust the budget.
+  bool TryChargeTables(int32_t n, int64_t column_bytes, Budget* budget) {
+    tracked_.Attach(budget);
+    return tracked_.TryReserve(TableBytes(n, column_bytes));
+  }
+
+  /// Evaluates from scratch.  With a non-null `stats`, reports one
+  /// attempted embedding, the logical DP size, the kernel work counters and
+  /// one `program_exec_hits`.
   void EvalFull(const MatcherProgram& program, const Tree& t,
+                EngineStats* stats = nullptr);
+
+  /// Evaluates from scratch over bare columns — a snapshot tree's adopted
+  /// view.  `EvalIncremental` cannot follow this call.
+  void EvalFull(const MatcherProgram& program, const TreeView& view,
                 EngineStats* stats = nullptr);
 
   /// Re-evaluates after an incremental rebuild; same precondition as
@@ -246,8 +206,24 @@ class ProgramSweep {
     return view_.size() > 0 && (sat_[view_.size() - 1] & 1);
   }
 
+  /// The cells of the last evaluation, as `MatcherWorkspace::SatAt` /
+  /// `SatBelow` report them.
+  bool SatAt(NodeId v, NodeId x) const {
+    return (sat_[view_.PostOf(x)] >> v) & 1;
+  }
+  bool SatBelow(NodeId v, NodeId x) const {
+    return (desc_[view_.PostOf(x)] >> v) & 1;
+  }
+
  private:
+  static int64_t TableBytes(int32_t n, int64_t column_bytes) {
+    return 2 * static_cast<int64_t>(n) *
+               static_cast<int64_t>(sizeof(uint64_t)) +
+           column_bytes;
+  }
   void ComputeColumns(const MatcherProgram& program, int32_t from);
+  void Report(const MatcherProgram& program, int32_t filled, int32_t reused,
+              EngineStats* stats) const;
 
   const MatcherProgram* program_ = nullptr;
   const Tree* t_ = nullptr;

@@ -17,9 +17,9 @@
 // pattern would pay the compile without amortizing it.  The pool therefore
 // stores two kinds of entries in one LRU: cheap *trackers* (a hit counter,
 // no program) and resident programs.  `Get` counts a hit and reports — via
-// `should_compile` — when a key has crossed the hotness threshold
-// (`ContainmentOptions::compile_threshold`), at which point the caller
-// compiles and `Put`s; `Fetch` does all three.  Canonical-enumeration
+// `should_compile` — when a key has crossed the hotness threshold (the
+// query service passes `QueryService::kProgramHotThreshold`), at which point
+// the caller compiles and `Put`s; `Fetch` does all three.  Canonical-enumeration
 // sweeps bypass the threshold (one sweep executes the program thousands of
 // times, amortizing the compile internally) but still publish through the
 // pool so later requests start warm.

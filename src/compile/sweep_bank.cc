@@ -20,8 +20,8 @@ bool SweepBank::ChargeMember(size_t i, const Tree& t, Budget* budget) {
 }
 
 bool SweepBank::EvalMember(size_t i, const Tree& t, bool suffix_only,
-                           NodeId stable_limit, bool strong,
-                           bool word_parallel, EngineStats* stats) {
+                           NodeId stable_limit, bool strong, bool,
+                           EngineStats* stats) {
   Member& m = *members_[i];
   if (m.program != nullptr) {
     if (suffix_only) {
@@ -32,11 +32,59 @@ bool SweepBank::EvalMember(size_t i, const Tree& t, bool suffix_only,
     return strong ? m.psweep.MatchesStrong() : m.psweep.MatchesWeak();
   }
   if (suffix_only) {
-    m.ws.EvalIncremental(*m.q, t, stable_limit, stats, word_parallel);
+    m.ws.EvalIncremental(*m.q, t, stable_limit, stats);
   } else {
-    m.ws.EvalFull(*m.q, t, stats, word_parallel);
+    m.ws.EvalFull(*m.q, t, stats);
   }
   return strong ? m.ws.MatchesStrong() : m.ws.MatchesWeak();
+}
+
+namespace {
+
+/// Runs `program` over `view` on a pooled executor; nullopt when the soft
+/// table charge was refused.
+std::optional<bool> RunProgram(const MatcherProgram& program,
+                               const TreeView& view, int64_t column_bytes,
+                               bool strong, EngineContext* ctx) {
+  auto exec = ctx->scratch().Acquire<ProgramSweep>();
+  if (!exec->TryChargeTables(view.size(), column_bytes, &ctx->budget())) {
+    return std::nullopt;
+  }
+  exec->EvalFull(program, view, &ctx->stats());
+  return strong ? exec->MatchesStrong() : exec->MatchesWeak();
+}
+
+bool ChargeSteps(int32_t pattern_size, int32_t tree_size,
+                 EngineContext* ctx) {
+  return ctx->budget().Charge(
+      1 + static_cast<int64_t>(pattern_size) * tree_size);
+}
+
+}  // namespace
+
+std::optional<bool> MatchTree(const Tpq& q, const MatcherProgram* program,
+                              const Tree& t, bool strong, EngineContext* ctx) {
+  if (!ChargeSteps(q.size(), t.size(), ctx)) return std::nullopt;
+  if (program != nullptr) {
+    if (std::optional<bool> matched =
+            RunProgram(*program, t.View(), t.ColumnBytes(), strong, ctx)) {
+      return matched;
+    }
+  }
+  auto ws = ctx->scratch().Acquire<MatcherWorkspace>();
+  if (!ws->ChargeTables(q, t, &ctx->budget())) return std::nullopt;
+  ws->EvalFull(q, t, &ctx->stats());
+  return strong ? ws->MatchesStrong() : ws->MatchesWeak();
+}
+
+std::optional<bool> MatchTree(const MatcherProgram& program,
+                              const TreeView& view, bool strong,
+                              EngineContext* ctx) {
+  if (!ChargeSteps(program.pattern_size(), view.size(), ctx)) {
+    return std::nullopt;
+  }
+  return RunProgram(program, view, TreeView::AdoptedBytes(view.size()),
+                    strong, ctx);
 }
 
 }  // namespace tpc

@@ -1,4 +1,5 @@
-// A bank of per-member matcher executors for the canonical sweep.
+// The two places a pattern meets a tree: a bank of per-member matcher
+// executors for the canonical sweep, and `MatchTree`, the single-tree match.
 //
 // The coNP procedure enumerates canonical models of the *enumeration-side*
 // pattern p.  contain/containment.cc runs ONE sweep loop for every such
@@ -22,10 +23,12 @@
 #define TPC_COMPILE_SWEEP_BANK_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "compile/matcher_program.h"
 #include "engine/budget.h"
+#include "engine/engine.h"
 #include "engine/stats.h"
 #include "match/embedding.h"
 #include "pattern/tpq.h"
@@ -64,9 +67,11 @@ class SweepBank {
   /// member's previous `EvalMember` used the same tree object and the
   /// nodes below `stable_limit` are unchanged (the sweep guarantees this —
   /// an undecided member has evaluated every tree of its chunk so far).
-  /// `ChargeMember(i, t, ...)` must have succeeded for this tree.
+  /// `ChargeMember(i, t, ...)` must have succeeded for this tree.  The
+  /// unnamed bool is ignored: it was the fill-kernel switch, and stays only
+  /// until the end-to-end benchmark's probe stops passing it.
   bool EvalMember(size_t i, const Tree& t, bool suffix_only,
-                  NodeId stable_limit, bool strong, bool word_parallel,
+                  NodeId stable_limit, bool strong, bool /*ignored*/,
                   EngineStats* stats);
 
  private:
@@ -80,6 +85,25 @@ class SweepBank {
   // addresses must survive vector growth.
   std::vector<std::unique_ptr<Member>> members_;
 };
+
+/// Decides whether `t` is in L_w(q), or L_s(q) with `strong`.  Charges
+/// `1 + |q|·|t|` steps, then the executor's table bytes, to `ctx`'s budget
+/// and reports the DP work on its stats.  With a `program` (q's compiled
+/// matcher) it runs a pooled `ProgramSweep`, whose table charge is soft: a
+/// refusal falls back to the generic DP without exhausting the budget.
+/// Otherwise it runs a pooled `MatcherWorkspace`, whose charge is hard.
+/// Returns nullopt when the budget refused — it is then exhausted, and the
+/// caller reports that instead of a verdict.
+std::optional<bool> MatchTree(const Tpq& q, const MatcherProgram* program,
+                              const Tree& t, bool strong, EngineContext* ctx);
+
+/// The mapped-tree overload: `view` is a snapshot tree's adopted columns,
+/// which only a compiled program runs over.  Nullopt when the step charge
+/// (exhausting the budget) or the soft table charge (not exhausting it) was
+/// refused; the caller then falls back to a rebuilt tree.
+std::optional<bool> MatchTree(const MatcherProgram& program,
+                              const TreeView& view, bool strong,
+                              EngineContext* ctx);
 
 }  // namespace tpc
 

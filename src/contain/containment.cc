@@ -12,7 +12,6 @@
 #include "compile/program_cache.h"
 #include "compile/sweep_bank.h"
 #include "contain/homomorphism.h"
-#include "match/embedding.h"
 #include "pattern/canonical.h"
 #include "pattern/normalize.h"
 #include "pattern/tpq_hash.h"
@@ -36,16 +35,9 @@ int32_t CanonicalBound(const Tpq& q, ContainmentOptions::Bound bound) {
 
 namespace {
 
-bool Matches(const Tpq& q, const Tree& t, Mode mode, EngineStats* stats,
-             bool word_parallel) {
-  Matcher matcher(q, t, stats, word_parallel);
-  return mode == Mode::kStrong ? matcher.MatchesStrong()
-                               : matcher.MatchesWeak();
-}
-
-/// Compiled program for `q`, or null for the generic DP (disabled, >64
-/// nodes, cold, or the soft compile charge was refused — never an error,
-/// never an exhausted budget).  A canonical-enumeration `sweep` compiles
+/// Compiled program for `q`, or null for the generic DP (>64 nodes, cold,
+/// or the soft compile charge was refused — never an error, never an
+/// exhausted budget).  A canonical-enumeration `sweep` compiles
 /// unconditionally (one sweep executes the program across the whole
 /// length-vector space, amortizing the compile internally), through
 /// `options.program_cache` when one is wired so repeated hot sweeps skip the
@@ -55,7 +47,6 @@ bool Matches(const Tpq& q, const Tree& t, Mode mode, EngineStats* stats,
 std::shared_ptr<const MatcherProgram> ProgramFor(
     const Tpq& q, Mode mode, LabelPool* pool, EngineContext* ctx,
     const ContainmentOptions& options, bool sweep) {
-  if (!options.compiled_matcher) return nullptr;
   if (options.program_cache == nullptr) {
     // Uncached program: lives for this sweep only, charged to this context.
     return sweep ? MatcherProgram::Compile(q, &ctx->budget(), &ctx->stats())
@@ -65,23 +56,6 @@ std::shared_ptr<const MatcherProgram> ProgramFor(
                        static_cast<uint32_t>(mode)};
   return options.program_cache->Fetch(q, key, /*force=*/sweep,
                                       &ctx->stats());
-}
-
-/// `Matches` with the compiled fast path in front: when the pattern is hot
-/// a pooled `ProgramExec` answers from the flat program; otherwise (or when
-/// the soft scratch charge is refused) the generic matcher decides.
-bool MatchesRouted(const Tpq& q, const Tree& t, Mode mode, LabelPool* pool,
-                   EngineContext* ctx, const ContainmentOptions& options) {
-  if (auto program =
-          ProgramFor(q, mode, pool, ctx, options, /*sweep=*/false)) {
-    auto exec = ctx->scratch().Acquire<ProgramExec>();
-    if (exec->ChargeRun(t, &ctx->budget())) {
-      const MatcherProgram::ExecResult r =
-          exec->Run(*program, t, &ctx->stats());
-      return mode == Mode::kStrong ? r.strong : r.weak;
-    }
-  }
-  return Matches(q, t, mode, &ctx->stats(), options.word_parallel);
 }
 
 /// Returns a copy of `q` with the root label replaced.
@@ -199,7 +173,7 @@ void CanonicalSweep(const Tpq& p, const std::vector<SweepMember>& members,
         }
         ++evaluated;
         if (bank.EvalMember(i, scratch, suffix_only, stable_limit,
-                            mode == Mode::kStrong, options.word_parallel,
+                            mode == Mode::kStrong, /*ignored=*/true,
                             &m.ctx->stats())) {
           continue;
         }
@@ -384,11 +358,15 @@ bool DecideByRoute(const Tpq& p, const Fragment& fp, const Tpq& qn,
                             : ContainmentAlgorithm::kSingleCanonical;
     Tree t = MinimalCanonicalTree(p, pool->Bottom());
     stats.canonical_trees_enumerated.fetch_add(1, std::memory_order_relaxed);
-    if (!ctx->budget().Charge(TreeCost(qn, t))) {
+    const std::optional<bool> matched =
+        MatchTree(qn, ProgramFor(qn, Mode::kWeak, pool, ctx, options,
+                                 /*sweep=*/false).get(),
+                  t, /*strong=*/false, ctx);
+    if (!matched.has_value()) {
       MarkExhausted(result, ctx);
       return true;
     }
-    result->contained = MatchesRouted(qn, t, Mode::kWeak, pool, ctx, options);
+    result->contained = *matched;
     if (!result->contained) {
       result->counterexample = std::move(t);
       result->counterexample_lengths =

@@ -86,27 +86,18 @@ struct ContainmentOptions {
   /// query service's batch fan-out) must set this: `ThreadPool::ParallelFor`
   /// does not support reentrant submission from a worker.
   bool sequential_sweep = false;
-  /// If true (default) the embedding DP uses the word-parallel fill kernel
-  /// (missing-bits scatter + branch-free leaf columns); if false it uses the
-  /// scalar per-candidate kernel.  Both produce bit-identical tables — the
-  /// flag exists for A/B benchmarks and the agreement suites
-  /// (`tpc_cli --no-word-parallel`).
-  bool word_parallel = true;
-  /// If true (default) patterns with at most 64 nodes may be lowered to a
-  /// flat `MatcherProgram` (src/compile/) executed over the tree's postorder
-  /// columns instead of the generic DP fill.  Canonical sweeps compile
-  /// unconditionally (one sweep amortizes the compile internally); the
-  /// single-tree routes compile only once `program_cache` reports the
-  /// pattern hot.  Verdicts are bit-identical either way — the flag exists
-  /// for A/B benchmarks and the agreement suites (`tpc_cli --no-compile`).
-  bool compiled_matcher = true;
-  /// Number of sightings of a `(pattern, pool, mode)` key in
-  /// `program_cache` before the single-tree routes pay the compile.
-  int32_t compile_threshold = 4;
   /// Optional pool of compiled programs shared across calls (the query
-  /// service owns one beside its verdict cache).  Null means: sweeps still
-  /// compile per call, single-tree routes never do (no hotness evidence).
+  /// service owns one beside its verdict cache).  Canonical sweeps compile
+  /// every member of at most 64 nodes — through the pool when one is wired,
+  /// so repeated hot sweeps skip the compile — while the single-tree routes
+  /// compile only once the pool reports the pattern hot, and never without
+  /// a pool (no hotness evidence).  Larger patterns, cold ones and refused
+  /// compiles run the generic DP; verdicts are identical either way.
   ProgramCache* program_cache = nullptr;
+  /// The embedding DP's fill is always word-parallel.  A constant, not a
+  /// setting: kept readable for the end-to-end benchmark (e2ebench/), which
+  /// passes it to `SweepBank::EvalMember`.
+  static constexpr bool word_parallel = true;
 };
 
 /// Decides L(p) ⊆ L(q) (weak or strong languages per `mode`) under the

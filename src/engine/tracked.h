@@ -10,7 +10,8 @@
 // `Reserve(total)` is the high-water variant for reused scratch buffers
 // (matcher tables, per-symbol search scratch): it charges only the delta
 // above the largest total seen, matching capacity-retaining containers that
-// `clear()` between decisions without returning memory.
+// `clear()` between decisions without returning memory.  `TryCharge` and
+// `TryReserve` are their soft twins for speculative allocations.
 
 #ifndef TPC_ENGINE_TRACKED_H_
 #define TPC_ENGINE_TRACKED_H_
@@ -74,6 +75,17 @@ class TrackedBytes {
     if (total <= peak) return true;
     peak_.store(total, std::memory_order_relaxed);
     return Charge(total - peak);
+  }
+
+  /// Soft high-water charge: `Reserve` through `TryCharge`.  A refusal
+  /// charges nothing, leaves the high-water mark and the budget as they
+  /// were, and tells the caller to take its non-allocating fallback.
+  bool TryReserve(int64_t total) {
+    const int64_t peak = peak_.load(std::memory_order_relaxed);
+    if (total <= peak) return true;
+    if (!TryCharge(total - peak)) return false;
+    peak_.store(total, std::memory_order_relaxed);
+    return true;
   }
 
   /// Returns `n` of the charged bytes early (an evicted cache entry, a

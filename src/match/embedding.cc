@@ -31,8 +31,6 @@ void MatcherWorkspace::BindPattern(const Tpq& q) {
   q_ = &q;
   bound_fingerprint_ = PatternFingerprint(q);
   words_ = (static_cast<size_t>(q.size()) + 63) / 64;
-  req_child_.assign(static_cast<size_t>(q.size()) * words_, 0);
-  req_desc_.assign(req_child_.size(), 0);
   wildcard_mask_.assign(words_, 0);
   child_targets_.assign(words_, 0);
   desc_targets_.assign(words_, 0);
@@ -45,10 +43,8 @@ void MatcherWorkspace::BindPattern(const Tpq& q) {
     size_t word = static_cast<size_t>(v) >> 6;
     uint64_t bit = uint64_t{1} << (static_cast<size_t>(v) & 63);
     if (v != 0) {
-      bool child_edge = q.Edge(v) == EdgeKind::kChild;
-      std::vector<uint64_t>& req = child_edge ? req_child_ : req_desc_;
-      size_t p = static_cast<size_t>(q.Parent(v));
-      req[p * words_ + word] |= bit;
+      const bool child_edge = q.Edge(v) == EdgeKind::kChild;
+      const size_t p = static_cast<size_t>(q.Parent(v));
       (child_edge ? child_targets_ : desc_targets_)[word] |= bit;
       internal_mask_[p >> 6] |= uint64_t{1} << (p & 63);
       parent_word_[v] = static_cast<uint32_t>(p >> 6);
@@ -78,7 +74,7 @@ const uint64_t* MatcherWorkspace::LabelMask(LabelId label) const {
   return &label_mask_store_[it->second];
 }
 
-void MatcherWorkspace::ComputeColumnWord(int32_t i) {
+void MatcherWorkspace::ComputeColumn(int32_t i) {
   const size_t W = words_;
   const uint64_t* labels_ok = LabelMask(view_.LabelAtPost(i));
   uint64_t* sat_row = &sat_[RowOffset(i)];
@@ -115,8 +111,8 @@ void MatcherWorkspace::ComputeColumnWord(int32_t i) {
     words_folded_ += static_cast<int64_t>(2 * W);
   }
   // Missing-bits scatter: a requirement bit absent from its accumulator
-  // fails its pattern *parent*.  This replaces the per-candidate submask
-  // loop — cost O(W + popcount(missing)) instead of O(popcount(labels) * W).
+  // fails its pattern *parent* — cost O(W + popcount(missing)) instead of
+  // a submask test per candidate, O(popcount(labels) * W).
   for (size_t w = 0; w < W; ++w) {
     uint64_t missing = child_targets_[w] & ~acc_c[w];
     while (missing != 0) {
@@ -139,51 +135,6 @@ void MatcherWorkspace::ComputeColumnWord(int32_t i) {
   }
 }
 
-void MatcherWorkspace::ComputeColumnScalar(int32_t i) {
-  const size_t W = words_;
-  uint64_t* acc_c = acc_child_.data();
-  uint64_t* acc_d = acc_desc_.data();
-  std::fill_n(acc_c, W, uint64_t{0});
-  std::fill_n(acc_d, W, uint64_t{0});
-  const int32_t begin = i - view_.SubtreeSizeAtPost(i) + 1;
-  for (int32_t c = i - 1; c >= begin; c -= view_.SubtreeSizeAtPost(c)) {
-    const uint64_t* child_sat = &sat_[RowOffset(c)];
-    const uint64_t* child_desc = &desc_[RowOffset(c)];
-    for (size_t w = 0; w < W; ++w) {
-      acc_c[w] |= child_sat[w];
-      acc_d[w] |= child_desc[w];
-    }
-    words_folded_ += static_cast<int64_t>(2 * W);
-  }
-  const uint64_t* labels_ok = LabelMask(view_.LabelAtPost(i));
-  uint64_t* sat_row = &sat_[RowOffset(i)];
-  uint64_t* desc_row = &desc_[RowOffset(i)];
-  for (size_t w = 0; w < W; ++w) {
-    uint64_t candidates = labels_ok[w];
-    uint64_t bits = 0;
-    while (candidates != 0) {
-      int b = std::countr_zero(candidates);
-      candidates &= candidates - 1;
-      size_t v = (w << 6) + static_cast<size_t>(b);
-      // Every child-edge child of v must be satisfied at some child of x,
-      // every descendant-edge child somewhere strictly below x.
-      const uint64_t* need_c = &req_child_[v * W];
-      const uint64_t* need_d = &req_desc_[v * W];
-      bool ok = true;
-      for (size_t u = 0; u < W; ++u) {
-        if ((acc_c[u] & need_c[u]) != need_c[u] ||
-            (acc_d[u] & need_d[u]) != need_d[u]) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) bits |= uint64_t{1} << b;
-    }
-    sat_row[w] = bits;
-    desc_row[w] = bits | acc_d[w];
-  }
-}
-
 void MatcherWorkspace::PrepareTables(const Tree& t) {
   t_ = &t;
   view_ = t.View();
@@ -198,7 +149,7 @@ void MatcherWorkspace::PrepareTables(const Tree& t) {
 }
 
 void MatcherWorkspace::EvalFull(const Tpq& q, const Tree& t,
-                                EngineStats* stats, bool word_parallel) {
+                                EngineStats* stats) {
   // Pointer identity alone is unsound for a shared workspace: a temporary
   // (e.g. ReplayRefutation's normalized q) can reoccupy the previous
   // pattern's address with different content, and a stale bind would then
@@ -208,11 +159,7 @@ void MatcherWorkspace::EvalFull(const Tpq& q, const Tree& t,
   // One linear sweep over postorder positions: every child span precedes its
   // parent, so the fold always reads finished rows.
   const int32_t n = t.size();
-  if (word_parallel) {
-    for (int32_t i = 0; i < n; ++i) ComputeColumnWord(i);
-  } else {
-    for (int32_t i = 0; i < n; ++i) ComputeColumnScalar(i);
-  }
+  for (int32_t i = 0; i < n; ++i) ComputeColumn(i);
   if (stats != nullptr) {
     stats->embeddings_attempted.fetch_add(1, std::memory_order_relaxed);
     stats->dp_cells_filled.fetch_add(
@@ -224,7 +171,7 @@ void MatcherWorkspace::EvalFull(const Tpq& q, const Tree& t,
 
 void MatcherWorkspace::EvalIncremental(const Tpq& q, const Tree& t,
                                        NodeId stable_limit,
-                                       EngineStats* stats, bool word_parallel) {
+                                       EngineStats* stats) {
   assert(q_ == &q && t_ == &t && "EvalIncremental needs a prior Eval* on the "
                                  "same pattern and tree object");
   assert(stable_limit >= 0 && stable_limit < t.size());
@@ -238,11 +185,7 @@ void MatcherWorkspace::EvalIncremental(const Tpq& q, const Tree& t,
   // the old pointer-chasing scheme recomputed.
   const int32_t stable_post = stable_limit - t.Depth(stable_limit);
   const int32_t n = t.size();
-  if (word_parallel) {
-    for (int32_t i = stable_post; i < n; ++i) ComputeColumnWord(i);
-  } else {
-    for (int32_t i = stable_post; i < n; ++i) ComputeColumnScalar(i);
-  }
+  for (int32_t i = stable_post; i < n; ++i) ComputeColumn(i);
   if (stats != nullptr) {
     const int64_t recomputed = n - stable_post;
     stats->embeddings_attempted.fetch_add(1, std::memory_order_relaxed);

@@ -9,26 +9,25 @@
 // occupy the span `[i - subtree_size + 1, i - 1]` and are folded with
 // whole-word ORs before `i` itself is computed.
 //
-// Two fill kernels share that layout and produce bit-identical tables:
-//
-//  * the *word-parallel* kernel (default) never tests candidates one by one.
-//    It computes the set of unsatisfied requirement bits in whole words —
-//    `missing = targets & ~acc` — and scatters each missing bit to a
-//    `failed` bit on its pattern parent; a row is then
-//    `labels_ok & ~failed`.  Leaf columns skip the fold entirely:
-//    `labels_ok & ~internal_mask` (a pattern node with children can never
-//    embed at a tree leaf).  Work per column: O(words + #missing bits).
-//  * the *scalar* kernel keeps the per-candidate submask tests, as the A/B
-//    baseline pinned by the agreement suites
-//    (`ContainmentOptions::word_parallel = false`).
+// The fill is *word-parallel*: it never tests candidates one by one.  It
+// computes the set of unsatisfied requirement bits in whole words —
+// `missing = targets & ~acc` — and scatters each missing bit to a `failed`
+// bit on its pattern parent; a row is then `labels_ok & ~failed`.  Leaf
+// columns skip the fold entirely: `labels_ok & ~internal_mask` (a pattern
+// node with children can never embed at a tree leaf).  Work per column:
+// O(words + #missing bits).  This is the generic kernel: it serves every
+// pattern size, and src/compile/ runs the single-word (<= 64-node) patterns
+// it has compiled; tests/reference_sweep.h holds the bitset-free oracle.
 //
 // The workspace keeps its tables alive across evaluations, so the
 // canonical-sweep hot loops run allocation-free, and `EvalIncremental`
 // refills only the postorder suffix invalidated by a spine-suffix rebuild
 // (the changed tail plus the ancestor path of the cut), reusing all others.
 //
-// `Matcher` is the one-shot wrapper (evaluates in the constructor) kept for
-// call sites that check a single pattern/tree pair.
+// `Matcher` is the one-shot wrapper (evaluates in the constructor) for
+// callers that read the tables (node selection, witnesses).  Budgeted
+// single-tree decisions go through `MatchTree` (compile/sweep_bank.h),
+// which charges and pools this workspace.
 
 #ifndef TPC_MATCH_EMBEDDING_H_
 #define TPC_MATCH_EMBEDDING_H_
@@ -73,10 +72,8 @@ class MatcherWorkspace {
   /// rebuilt only when `q` is not the pattern of the previous evaluation.
   /// With a non-null `stats`, reports one attempted embedding,
   /// `|q| * |t|` DP cells filled, and the kernel counters
-  /// (`dp_words_folded`, `dp_rows_skipped`).  `word_parallel` selects the
-  /// fill kernel; both produce identical tables.
-  void EvalFull(const Tpq& q, const Tree& t, EngineStats* stats = nullptr,
-                bool word_parallel = true);
+  /// (`dp_words_folded`, `dp_rows_skipped`).
+  void EvalFull(const Tpq& q, const Tree& t, EngineStats* stats = nullptr);
 
   /// Re-evaluates after an incremental tree rebuild.  Precondition: the
   /// previous `Eval*` call on this workspace used the same `q` and the same
@@ -90,8 +87,7 @@ class MatcherWorkspace {
   /// the rebuilt tail plus the ancestor path of the cut — is recomputed.
   /// Every reused column is reported via `EngineStats::dp_cells_reused`.
   void EvalIncremental(const Tpq& q, const Tree& t, NodeId stable_limit,
-                       EngineStats* stats = nullptr,
-                       bool word_parallel = true);
+                       EngineStats* stats = nullptr);
 
   /// True iff `t` is in the weak language L_w(q).
   bool MatchesWeak() const;
@@ -124,8 +120,7 @@ class MatcherWorkspace {
     return static_cast<size_t>(post) * words_;
   }
   void BindPattern(const Tpq& q);
-  void ComputeColumnWord(int32_t i);
-  void ComputeColumnScalar(int32_t i);
+  void ComputeColumn(int32_t i);
   void PrepareTables(const Tree& t);
   const uint64_t* LabelMask(LabelId label) const;
   void ExtractAt(NodeId v, NodeId x, std::vector<NodeId>* map) const;
@@ -137,15 +132,12 @@ class MatcherWorkspace {
   size_t words_ = 0;  // ceil(|q| / 64) bitset words per DP row
 
   // Pattern-side tables, rebuilt on BindPattern.
-  std::vector<uint64_t> req_child_;  // v -> mask of v's child-edge children
-  std::vector<uint64_t> req_desc_;   // v -> mask of v's descendant children
   std::vector<uint64_t> wildcard_mask_;  // wildcard pattern nodes
   std::vector<uint64_t> label_mask_store_;   // per-letter masks, |wildcard'd
   std::unordered_map<LabelId, size_t> label_mask_offset_;
-  // Word-parallel kernel tables: the requirement sets transposed.  A pattern
-  // node missing from the child/descendant accumulator *fails its parent*;
-  // the scatter needs each node's edge kind (targets masks) and its parent's
-  // bit address.
+  // The requirement sets, transposed: a pattern node missing from the
+  // child/descendant accumulator *fails its parent*, so the scatter needs
+  // each node's edge kind (targets masks) and its parent's bit address.
   std::vector<uint64_t> child_targets_;  // nodes with a child edge to parent
   std::vector<uint64_t> desc_targets_;   // nodes with a descendant edge
   std::vector<uint64_t> internal_mask_;  // pattern nodes with >= 1 child
@@ -158,7 +150,7 @@ class MatcherWorkspace {
   std::vector<uint64_t> desc_;  // OR of sat_ over the subtree span of i
 
   // Column scratch (accumulators over the children of the current node,
-  // and the failed-parent bits of the word kernel).
+  // and the failed-parent bits of the scatter).
   std::vector<uint64_t> acc_child_;
   std::vector<uint64_t> acc_desc_;
   std::vector<uint64_t> failed_;
@@ -177,9 +169,8 @@ class Matcher {
  public:
   /// With a non-null `stats`, reports one attempted embedding and the number
   /// of DP cells filled.
-  Matcher(const Tpq& q, const Tree& t, EngineStats* stats = nullptr,
-          bool word_parallel = true) {
-    ws_.EvalFull(q, t, stats, word_parallel);
+  Matcher(const Tpq& q, const Tree& t, EngineStats* stats = nullptr) {
+    ws_.EvalFull(q, t, stats);
   }
 
   bool MatchesWeak() const { return ws_.MatchesWeak(); }

@@ -4,9 +4,9 @@
 #include <cstddef>
 #include <utility>
 
+#include "compile/sweep_bank.h"
 #include "contain/homomorphism.h"
 #include "contain/minimize.h"
-#include "match/embedding.h"
 #include "pattern/canonical.h"
 #include "pattern/tpq_hash.h"
 
@@ -29,16 +29,13 @@ QueryService::QueryService(LabelPool* pool, EngineContext* ctx,
       ctx_(ctx),
       options_(options),
       cache_(options.cache_shards, options.cache_bytes, &ctx->budget(),
-             &VerdictEntryCost) {
+             &VerdictEntryCost),
+      programs_(options.cache_shards, options.program_cache_bytes,
+                kProgramHotThreshold, &ctx->budget()) {
   // All tracked shims release into ctx's budget on destruction, so the
   // service must not outlive its context.
   memo_tracked_.Attach(&ctx->budget());
   probe_tracked_.Attach(&ctx->budget());
-  if (options_.containment.compiled_matcher) {
-    programs_ = std::make_unique<ProgramCache>(
-        options_.cache_shards, options_.program_cache_bytes,
-        options_.containment.compile_threshold, &ctx->budget());
-  }
   if (options_.use_cache) {
     // Built whenever the cache layer is: even with `use_lattice` off the
     // lattice records verdicts (cheap), because it doubles as the pattern
@@ -167,7 +164,7 @@ ContainmentResult QueryService::DecideOne(const Tpq& p, const Tpq& q,
   if (in_worker) d.options.sequential_sweep = true;
   // Share the program pool with the dispatcher: its sweeps publish compiled
   // patterns here and its single-tree routes consult the hotness tracker.
-  d.options.program_cache = programs_.get();
+  d.options.program_cache = &programs_;
   d.mode = mode;
   d.p = &p;
   d.q = &q;
@@ -194,12 +191,10 @@ ContainmentResult QueryService::DecideOne(const Tpq& p, const Tpq& q,
   // The pooled program of a minimized pattern (the hotness-gated path of
   // the probe cascade and the mapped-tree validation).
   auto pooled = [&](const Tpq& pattern, uint64_t hash) {
-    return programs_ == nullptr
-               ? nullptr
-               : programs_->Fetch(pattern,
-                                  ProgramKey{hash, pool_->generation(),
-                                             static_cast<uint32_t>(mode)},
-                                  /*force=*/false, &stats);
+    return programs_.Fetch(pattern,
+                           ProgramKey{hash, pool_->generation(),
+                                      static_cast<uint32_t>(mode)},
+                           /*force=*/false, &stats);
   };
 
   if (d.have_key) {
@@ -229,22 +224,14 @@ ContainmentResult QueryService::DecideOne(const Tpq& p, const Tpq& q,
               pooled(pp, d.pm->hash);
           std::shared_ptr<const MatcherProgram> q_prog =
               pooled(qq, d.qm->hash);
-          if (p_prog != nullptr && q_prog != nullptr &&
-              ctx->budget().Charge(2 * static_cast<int64_t>(tv.size()))) {
-            std::vector<MatcherProgram::StackFrame> stack;
-            int64_t words_folded = 0, rows_skipped = 0;
-            const MatcherProgram::ExecResult rp =
-                p_prog->Run(tv, &stack, &words_folded, &rows_skipped);
-            const MatcherProgram::ExecResult rq =
-                q_prog->Run(tv, &stack, &words_folded, &rows_skipped);
-            stats.dp_words_folded.fetch_add(words_folded,
-                                            std::memory_order_relaxed);
-            stats.dp_rows_skipped.fetch_add(rows_skipped,
-                                            std::memory_order_relaxed);
-            stats.program_exec_hits.fetch_add(2, std::memory_order_relaxed);
-            const bool p_ok = mode == Mode::kStrong ? rp.strong : rp.weak;
-            const bool q_ok = mode == Mode::kStrong ? rq.strong : rq.weak;
-            if (p_ok && !q_ok) {
+          if (p_prog != nullptr && q_prog != nullptr) {
+            const bool strong = mode == Mode::kStrong;
+            const std::optional<bool> p_ok =
+                MatchTree(*p_prog, tv, strong, ctx);
+            const std::optional<bool> q_ok =
+                p_ok == true ? MatchTree(*q_prog, tv, strong, ctx)
+                             : std::nullopt;
+            if (q_ok == false) {
               stats.snapshot_trees_mapped.fetch_add(1,
                                                     std::memory_order_relaxed);
               stats.cache_hits.fetch_add(1, std::memory_order_relaxed);
@@ -254,8 +241,9 @@ ContainmentResult QueryService::DecideOne(const Tpq& p, const Tpq& q,
               result.algorithm = hit->algorithm;
               return result;
             }
-            // The mapped tree did not certify (p or q disagreed): fall
-            // through to the ordinary replay, which decides from scratch.
+            // The mapped tree did not certify (p missed it, q matched it, or
+            // a charge was refused): fall through to the ordinary replay,
+            // which decides from scratch.
           }
         }
       }
@@ -359,33 +347,17 @@ ContainmentResult QueryService::DecideOne(const Tpq& p, const Tpq& q,
       // seen often enough pay the compile.
       std::shared_ptr<const MatcherProgram> program =
           pooled(qq, d.have_probe_hash ? d.q_probe_hash : CanonicalTpqHash(qq));
-      auto ws = ctx->scratch().Acquire<MatcherWorkspace>();
-      auto exec = ctx->scratch().Acquire<ProgramExec>();
       for (std::vector<int32_t>& lengths : probes) {
         Tree t = CanonicalTree(pp, lengths, pool_->Bottom());
         stats.canonical_trees_enumerated.fetch_add(1,
                                                    std::memory_order_relaxed);
-        if (!ctx->budget().Charge(
-                1 + static_cast<int64_t>(qq.size()) * t.size())) {
+        const std::optional<bool> matches =
+            MatchTree(qq, program.get(), t, mode == Mode::kStrong, ctx);
+        if (!matches.has_value()) {
           budget_ok = false;
           break;
         }
-        bool matches;
-        if (program != nullptr && exec->ChargeRun(t, &ctx->budget())) {
-          const MatcherProgram::ExecResult r = exec->Run(*program, t, &stats);
-          matches = mode == Mode::kStrong ? r.strong : r.weak;
-        } else {
-          // Generic fallback (also taken when the soft scratch charge for
-          // the compiled run is refused).
-          if (!ws->ChargeTables(qq, t, &ctx->budget())) {
-            budget_ok = false;
-            break;
-          }
-          ws->EvalFull(qq, t, &stats, options.word_parallel);
-          matches =
-              mode == Mode::kStrong ? ws->MatchesStrong() : ws->MatchesWeak();
-        }
-        if (!matches) {
+        if (!*matches) {
           stats.prefilter_refutes.fetch_add(1, std::memory_order_relaxed);
           ContainmentResult result;
           result.contained = false;
@@ -687,13 +659,11 @@ bool QueryService::SaveSnapshot(const std::string& path, std::string* error) {
     writer.AddVerdict(v);  // a refused entry is simply absent from the file
   }
 
-  if (programs_ != nullptr) {
-    for (const ProgramKey& pk : programs_->HotKeys()) {
-      if (pk.pool_generation != generation) continue;
-      const std::optional<uint32_t> idx = index_of(pk.pattern_hash);
-      if (!idx.has_value()) continue;
-      writer.AddHotProgram(SnapshotHotProgram{*idx, pk.mode_tag});
-    }
+  for (const ProgramKey& pk : programs_.HotKeys()) {
+    if (pk.pool_generation != generation) continue;
+    const std::optional<uint32_t> idx = index_of(pk.pattern_hash);
+    if (!idx.has_value()) continue;
+    writer.AddHotProgram(SnapshotHotProgram{*idx, pk.mode_tag});
   }
   return writer.WriteTo(path, error);
 }
@@ -814,13 +784,11 @@ bool QueryService::LoadSnapshot(const std::string& path, std::string* error) {
                                     std::memory_order_relaxed);
   }
 
-  if (programs_ != nullptr) {
-    for (uint32_t i = 0; i < reader->hot_program_count(); ++i) {
-      const SnapshotHotProgram& rec = reader->HotProgramAt(i);
-      const LoadedPattern& pl = pats[rec.pattern_index];
-      if (!pl.ok || rec.mode_tag > 1) continue;
-      programs_->Warm(ProgramKey{pl.digest.lo, generation, rec.mode_tag});
-    }
+  for (uint32_t i = 0; i < reader->hot_program_count(); ++i) {
+    const SnapshotHotProgram& rec = reader->HotProgramAt(i);
+    const LoadedPattern& pl = pats[rec.pattern_index];
+    if (!pl.ok || rec.mode_tag > 1) continue;
+    programs_.Warm(ProgramKey{pl.digest.lo, generation, rec.mode_tag});
   }
 
   // Adopt the mapping last: the fast path only ever sees a fully-loaded

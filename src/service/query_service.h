@@ -4,8 +4,8 @@
 // Real containment workloads repeat themselves — the same handful of
 // patterns arrive again and again, syntactically varied — while the
 // dispatcher prices every call as if it were novel (the general route is
-// coNP).  The service exploits the repetition in five layers, each of which
-// can be switched off for A/B runs:
+// coNP).  The service exploits the repetition in five layers, the first
+// four of which can be switched off for A/B runs:
 //
 //   1. *Canonical hashing* (pattern/tpq_hash.h): both patterns are
 //      minimized (contain/minimize.h, memoized per raw hash) and hashed
@@ -31,10 +31,13 @@
 //      canonical models once for the whole group (a group of one is a solo
 //      decision; `ContainsGroupFor` is the daemon-side entry for its
 //      coalescing window).
-//   5. *Pattern compilation* (src/compile/): hot minimized patterns are
-//      lowered to flat matcher programs pooled beside the verdict cache and
-//      shared with the dispatcher (`ContainmentOptions::program_cache`), so
-//      probes and sweeps on repeated patterns skip the generic DP fill.
+//   5. *Pattern compilation* (src/compile/): minimized patterns seen
+//      `kProgramHotThreshold` times, and every swept one, are lowered to
+//      flat matcher programs pooled beside the verdict cache and shared with
+//      the dispatcher (`ContainmentOptions::program_cache`), so probes and
+//      sweeps on repeated patterns skip the generic DP fill.  Always on:
+//      verdicts are identical with or without a program, and patterns over
+//      64 nodes simply stay on the generic DP.
 //
 // Every accepted/refuted/cached shortcut is sound — DESIGN.md ("Query
 // service fast path") gives the argument per layer — so verdicts are
@@ -87,8 +90,7 @@ struct ServiceOptions {
   size_t probe_pool_limit = 4;
   /// Byte bound of the compiled-program pool (src/compile/), which sits
   /// beside the verdict cache and serves the dispatcher's sweeps, the
-  /// single-tree routes and the probe cascade.  Only built when
-  /// `containment.compiled_matcher` is on.
+  /// single-tree routes, the probe cascade and the mapped-tree check.
   int64_t program_cache_bytes = 1 << 20;
   /// Options forwarded to the underlying dispatcher (bound is part of the
   /// cache key).
@@ -107,6 +109,10 @@ class QueryService {
  public:
   QueryService(LabelPool* pool, EngineContext* ctx,
                const ServiceOptions& options = {});
+
+  /// Sightings of a minimized pattern (per pool generation and mode) before
+  /// the single-tree paths pay its compile; sweeps compile on first sight.
+  static constexpr int32_t kProgramHotThreshold = 4;
 
   struct BatchItem {
     Tpq p;
@@ -284,7 +290,7 @@ class QueryService {
   EngineContext* ctx_;
   ServiceOptions options_;
   VerdictLruCache cache_;
-  std::unique_ptr<ProgramCache> programs_;
+  ProgramCache programs_;
   std::unique_ptr<VerdictLattice> lattice_;
 
   // Warm-start state (LoadSnapshot): the mapped snapshot plus the verdict

@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "match/embedding.h"
+#include "compile/sweep_bank.h"
 #include "pattern/canonical.h"
 #include "pattern/normalize.h"
 
@@ -31,16 +31,9 @@ std::optional<Tree> ReplayRefutation(const Tpq& p, const Tpq& q, Mode mode,
   Tree t = CanonicalTree(p, lengths, pool->Bottom());
   ctx->stats().canonical_trees_enumerated.fetch_add(1,
                                                     std::memory_order_relaxed);
-  Tpq qn = Normalize(q);
-  if (!ctx->budget().Charge(1 + static_cast<int64_t>(qn.size()) * t.size())) {
-    return std::nullopt;
-  }
-  auto ws = ctx->scratch().Acquire<MatcherWorkspace>();
-  if (!ws->ChargeTables(qn, t, &ctx->budget())) return std::nullopt;
-  ws->EvalFull(qn, t, &ctx->stats());
-  const bool matches =
-      mode == Mode::kStrong ? ws->MatchesStrong() : ws->MatchesWeak();
-  if (matches) return std::nullopt;
+  const std::optional<bool> matches = MatchTree(
+      Normalize(q), /*program=*/nullptr, t, mode == Mode::kStrong, ctx);
+  if (matches != false) return std::nullopt;  // matched, or budget refused
   // t is a canonical tree of p, hence in both L_w(p) and L_s(p); q failing
   // to match it under `mode` makes t a counterexample no collision can fake.
   return t;

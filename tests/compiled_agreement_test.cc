@@ -1,9 +1,10 @@
-// A/B agreement: the compiled matcher path (src/compile/ — flat programs
-// over postorder columns) against the generic embedding DP.  Compiled and
-// generic runs must produce identical verdicts — including counterexample
-// length vectors, since both sweeps walk the length-vector space in the
-// same order — across 500 random instances, both modes, 1/2/4-thread
-// sweeps, and compile-time fault injection (an allocation failure
+// Agreement of the compiled matcher path (src/compile/ — flat programs over
+// postorder columns) with the definitional oracle of reference_sweep.h and
+// with the generic DP: every cell and verdict of `ProgramSweep` over 500
+// random instances, a compiled and a generic `SweepBank` member of the same
+// pattern over whole enumerations (identical verdicts and DP cell counts),
+// sweep verdicts in both modes and at 1/2/4 threads, the oversize (> 64
+// node) fallback, and compile-time fault injection (an allocation failure
 // mid-compile must fall back to the generic DP without exhausting the
 // budget or caching a partial program).
 
@@ -17,28 +18,39 @@
 #include "base/label.h"
 #include "compile/matcher_program.h"
 #include "compile/program_cache.h"
+#include "compile/sweep_bank.h"
 #include "contain/containment.h"
 #include "engine/engine.h"
 #include "gen/random_instances.h"
 #include "match/embedding.h"
+#include "pattern/canonical.h"
 #include "pattern/tpq_parser.h"
 #include "reference_sweep.h"
 
 namespace tpc {
 namespace {
 
-ContainmentOptions SweepOptions(bool compiled) {
+ContainmentOptions SweepOptions() {
   ContainmentOptions options;
   options.force_canonical = true;
   options.bound = ContainmentOptions::Bound::kAggressive;
-  options.compiled_matcher = compiled;
   return options;
 }
 
-// The 500-instance core: the one-shot program executor must agree with the
-// generic matcher's verdict bits on random, chain and star trees, weak and
-// strong alike.
-TEST(CompiledAgreementTest, ProgramAgreesWithMatcherOver500Instances) {
+/// The oracle's first counterexample under the engine's aggressive bound.
+std::optional<std::vector<int32_t>> OracleCounterexample(const Tpq& p,
+                                                         const Tpq& q,
+                                                         Mode mode,
+                                                         LabelPool* pool) {
+  return NaiveFirstCounterexample(
+      p, q, mode, pool,
+      EngineSweepBound(q, mode, ContainmentOptions::Bound::kAggressive, pool));
+}
+
+// The 500-instance core: the compiled executor's cells and verdict bits
+// must equal the oracle's on random, chain and star trees, weak and strong
+// alike.
+TEST(CompiledAgreementTest, ProgramMatchesOracleOver500Instances) {
   LabelPool pool;
   std::mt19937 rng(24601);
   std::vector<LabelId> labels = MakeLabels(2, &pool);
@@ -48,7 +60,7 @@ TEST(CompiledAgreementTest, ProgramAgreesWithMatcherOver500Instances) {
   qopts.fragment = fragments::kTpqFull;
   RandomTreeOptions topts;
   topts.labels = labels;
-  ProgramExec exec;
+  ProgramSweep exec;
   int weak_matches = 0;
   for (int trial = 0; trial < 500; ++trial) {
     qopts.size = 2 + trial % 7;
@@ -59,13 +71,23 @@ TEST(CompiledAgreementTest, ProgramAgreesWithMatcherOver500Instances) {
     Tpq q = RandomTpq(qopts, &rng);
     auto program = MatcherProgram::Compile(q, nullptr, &stats);
     ASSERT_NE(program, nullptr);
-    MatcherProgram::ExecResult r = exec.Run(*program, t, &stats);
-    Matcher generic(q, t, nullptr);
-    ASSERT_EQ(r.weak, generic.MatchesWeak())
+    exec.EvalFull(*program, t, &stats);
+    const ReferenceTables ref = ReferenceEmbedding(q, t);
+    for (NodeId v = 0; v < q.size(); ++v) {
+      for (NodeId x = 0; x < t.size(); ++x) {
+        ASSERT_EQ(exec.SatAt(v, x), ref.sat[v][x])
+            << "sat(" << v << "," << x << "): " << q.ToString(pool) << " on "
+            << t.ToString(pool);
+        ASSERT_EQ(exec.SatBelow(v, x), ref.below[v][x])
+            << "below(" << v << "," << x << "): " << q.ToString(pool)
+            << " on " << t.ToString(pool);
+      }
+    }
+    ASSERT_EQ(exec.MatchesWeak(), ref.below[0][0])
         << q.ToString(pool) << " on " << t.ToString(pool);
-    ASSERT_EQ(r.strong, generic.MatchesStrong())
+    ASSERT_EQ(exec.MatchesStrong(), ref.sat[0][0])
         << q.ToString(pool) << " on " << t.ToString(pool);
-    if (r.weak) ++weak_matches;
+    if (exec.MatchesWeak()) ++weak_matches;
   }
   // The sample must exercise both verdicts, every tile, and the counters.
   EXPECT_GT(weak_matches, 20);
@@ -75,7 +97,73 @@ TEST(CompiledAgreementTest, ProgramAgreesWithMatcherOver500Instances) {
   EXPECT_GT(stats.dp_rows_skipped.load(std::memory_order_relaxed), 0);
 }
 
-TEST(CompiledAgreementTest, SweepVerdictsIdenticalBothModes) {
+// The compiled executor and the generic fallback side by side: one bank
+// holds the same pattern twice — compiled and with no program — and walks
+// whole enumerations the way a sweep chunk does (full build, then suffix
+// rebuilds).  Every tree must get the same verdict from both members and
+// from the oracle, and both must report the same DP cells.
+TEST(CompiledAgreementTest, GenericAndCompiledMembersAgreeOverEnumerations) {
+  LabelPool pool;
+  std::mt19937 rng(97531);
+  std::vector<LabelId> labels = MakeLabels(3, &pool);
+  const LabelId bottom = pool.Fresh("_bot");
+  int refuting_trees = 0;
+  for (int trial = 0; trial < 120; ++trial) {
+    RandomTpqOptions popts;
+    popts.labels = labels;
+    popts.fragment = fragments::kTpqFull;
+    popts.size = 3 + trial % 5;
+    RandomTpqOptions qopts = popts;
+    qopts.size = 3 + (trial / 5) % 5;
+    Tpq p = RandomTpq(popts, &rng);
+    Tpq q = RandomTpq(qopts, &rng);
+    const bool strong = trial % 4 == 0;
+    SweepBank bank;
+    const size_t generic = bank.AddMember(&q, nullptr);
+    const size_t compiled =
+        bank.AddMember(&q, MatcherProgram::Compile(q, nullptr));
+    EngineContext ctx;
+    EngineStats generic_stats;
+    EngineStats compiled_stats;
+    CanonicalTreeBuilder builder(p, bottom);
+    CanonicalLengthEnumerator lengths(builder.num_spines(), 2);
+    Tree tree;
+    bool fresh = true;
+    do {
+      const size_t first = lengths.first_changed();
+      const bool suffix = !fresh && first < builder.num_spines();
+      if (suffix) {
+        builder.BuildSuffix(lengths.lengths(), first, &tree);
+      } else {
+        builder.BuildFull(lengths.lengths(), &tree);
+      }
+      const NodeId stable = suffix ? builder.spine_start(first) : 0;
+      ASSERT_TRUE(bank.ChargeMember(generic, tree, &ctx.budget()));
+      ASSERT_TRUE(bank.ChargeMember(compiled, tree, &ctx.budget()));
+      const bool g = bank.EvalMember(generic, tree, suffix, stable, strong,
+                                     /*ignored=*/true, &generic_stats);
+      const bool c = bank.EvalMember(compiled, tree, suffix, stable, strong,
+                                     /*ignored=*/true, &compiled_stats);
+      ASSERT_EQ(g, c) << q.ToString(pool) << " on " << tree.ToString(pool);
+      ASSERT_EQ(g, ReferenceMatches(q, tree, strong))
+          << q.ToString(pool) << " on " << tree.ToString(pool);
+      if (!g) ++refuting_trees;
+      fresh = false;
+    } while (lengths.Next());
+    EXPECT_EQ(generic_stats.embeddings_attempted.load(),
+              compiled_stats.embeddings_attempted.load());
+    EXPECT_EQ(generic_stats.dp_cells_filled.load(),
+              compiled_stats.dp_cells_filled.load());
+    EXPECT_EQ(generic_stats.dp_cells_reused.load(),
+              compiled_stats.dp_cells_reused.load());
+    EXPECT_EQ(generic_stats.program_exec_hits.load(), 0);
+    EXPECT_EQ(compiled_stats.program_exec_hits.load(),
+              compiled_stats.embeddings_attempted.load());
+  }
+  EXPECT_GT(refuting_trees, 10);
+}
+
+TEST(CompiledAgreementTest, SweepVerdictsMatchOracleBothModes) {
   LabelPool pool;
   std::mt19937 rng(97531);
   std::vector<LabelId> labels = MakeLabels(3, &pool);
@@ -90,22 +178,19 @@ TEST(CompiledAgreementTest, SweepVerdictsIdenticalBothModes) {
     Tpq p = RandomTpq(popts, &rng);
     Tpq q = RandomTpq(qopts, &rng);
     Mode mode = trial % 4 == 0 ? Mode::kStrong : Mode::kWeak;
-    ContainmentResult compiled =
-        Contains(p, q, mode, &pool, SweepOptions(true));
-    ContainmentResult generic =
-        Contains(p, q, mode, &pool, SweepOptions(false));
+    EngineContext ctx;
+    ContainmentResult compiled = Contains(p, q, mode, &pool, &ctx,
+                                          SweepOptions());
+    const std::optional<std::vector<int32_t>> reference =
+        OracleCounterexample(p, q, mode, &pool);
     ASSERT_EQ(compiled.outcome, Outcome::kDecided);
-    ASSERT_EQ(generic.outcome, Outcome::kDecided);
-    ASSERT_EQ(compiled.contained, generic.contained)
+    ASSERT_EQ(compiled.contained, !reference.has_value())
         << p.ToString(pool) << " in " << q.ToString(pool);
-    ASSERT_EQ(compiled.counterexample_lengths.has_value(),
-              generic.counterexample_lengths.has_value());
-    if (compiled.counterexample_lengths.has_value()) {
-      EXPECT_EQ(*compiled.counterexample_lengths,
-                *generic.counterexample_lengths)
-          << p.ToString(pool) << " in " << q.ToString(pool);
-      ++not_contained;
-    }
+    // Both walk the length-vector space in the same order, so even the
+    // counterexample must be the same model.
+    EXPECT_EQ(compiled.counterexample_lengths, reference)
+        << p.ToString(pool) << " in " << q.ToString(pool);
+    if (reference.has_value()) ++not_contained;
   }
   EXPECT_GT(not_contained, 10);
 }
@@ -124,7 +209,7 @@ TEST(CompiledAgreementTest, ParallelSweepsAgreeAcrossThreadCounts) {
     Tpq p = RandomTpq(popts, &rng);
     Tpq q = RandomTpq(qopts, &rng);
     Mode mode = trial % 3 == 0 ? Mode::kStrong : Mode::kWeak;
-    std::optional<bool> reference;
+    const bool reference = !OracleCounterexample(p, q, mode, &pool);
     for (int threads : {1, 2, 4}) {
       EngineConfig config;
       config.threads = threads;
@@ -132,15 +217,11 @@ TEST(CompiledAgreementTest, ParallelSweepsAgreeAcrossThreadCounts) {
       config.parallel_threshold = 2;
       config.parallel_chunk = 4;
       EngineContext ctx(config);
-      for (bool compiled : {true, false}) {
-        ContainmentResult r = Contains(p, q, mode, &pool, &ctx,
-                                       SweepOptions(compiled));
-        ASSERT_EQ(r.outcome, Outcome::kDecided);
-        if (!reference.has_value()) reference = r.contained;
-        ASSERT_EQ(r.contained, *reference)
-            << p.ToString(pool) << " in " << q.ToString(pool) << " threads "
-            << threads << " compiled " << compiled;
-      }
+      ContainmentResult r = Contains(p, q, mode, &pool, &ctx, SweepOptions());
+      ASSERT_EQ(r.outcome, Outcome::kDecided);
+      ASSERT_EQ(r.contained, reference)
+          << p.ToString(pool) << " in " << q.ToString(pool) << " threads "
+          << threads;
     }
   }
 }
@@ -153,17 +234,15 @@ TEST(CompiledAgreementTest, AllocFaultMidCompileFallsBackToGeneric) {
   LabelPool pool;
   Tpq p = MustParseTpq("a//b[c]//d", &pool);
   Tpq q = MustParseTpq("a//b//d", &pool);
-  ContainmentResult reference =
-      Contains(p, q, Mode::kWeak, &pool, SweepOptions(false));
-  ASSERT_EQ(reference.outcome, Outcome::kDecided);
+  const bool contained = !OracleCounterexample(p, q, Mode::kWeak, &pool);
   for (int64_t fail_at : {1, 2}) {
     EngineConfig config;
     config.fault_plan.fail_alloc_at = fail_at;
     EngineContext ctx(config);
     ContainmentResult r =
-        Contains(p, q, Mode::kWeak, &pool, &ctx, SweepOptions(true));
+        Contains(p, q, Mode::kWeak, &pool, &ctx, SweepOptions());
     ASSERT_EQ(r.outcome, Outcome::kDecided) << "fail_alloc_at " << fail_at;
-    EXPECT_EQ(r.contained, reference.contained);
+    EXPECT_EQ(r.contained, contained);
     EXPECT_FALSE(ctx.budget().Exhausted());
     EXPECT_EQ(ctx.stats().programs_compiled.load(std::memory_order_relaxed),
               0);
@@ -173,19 +252,19 @@ TEST(CompiledAgreementTest, AllocFaultMidCompileFallsBackToGeneric) {
   // Without a fault the same sweep compiles and executes the program.
   EngineContext clean;
   ContainmentResult r =
-      Contains(p, q, Mode::kWeak, &pool, &clean, SweepOptions(true));
+      Contains(p, q, Mode::kWeak, &pool, &clean, SweepOptions());
   ASSERT_EQ(r.outcome, Outcome::kDecided);
-  EXPECT_EQ(r.contained, reference.contained);
+  EXPECT_EQ(r.contained, contained);
   EXPECT_EQ(clean.stats().programs_compiled.load(std::memory_order_relaxed),
             1);
   EXPECT_GT(clean.stats().program_exec_hits.load(std::memory_order_relaxed),
             0);
 }
 
-// Patterns beyond the single-word model are not compilable; the dispatcher
-// must fall back to the (word-parallel) generic DP with identical verdicts
-// and bit-identical tables between its two kernels.
-TEST(CompiledAgreementTest, OversizePatternFallsBackWithCellParity) {
+// Patterns beyond the single-word model are not compilable; the generic DP
+// must evaluate them cell for cell like the oracle, and a sweep whose
+// evaluation-side pattern is oversize must decide through it.
+TEST(CompiledAgreementTest, OversizePatternFallsBackToGenericDp) {
   LabelPool pool;
   std::string chain = "a";
   for (int i = 0; i < 69; ++i) chain += "/a";
@@ -194,29 +273,42 @@ TEST(CompiledAgreementTest, OversizePatternFallsBackWithCellParity) {
   EXPECT_FALSE(MatcherProgram::Compilable(big));
   EXPECT_EQ(MatcherProgram::Compile(big, nullptr), nullptr);
 
-  std::vector<LabelId> labels = MakeLabels(1, &pool);
-  Tree t = ChainTree(labels, 80);
-  Matcher word(big, t, nullptr, /*word_parallel=*/true);
-  Matcher scalar(big, t, nullptr, /*word_parallel=*/false);
-  ASSERT_EQ(word.MatchesWeak(), scalar.MatchesWeak());
+  Tree t = ChainTree({pool.Intern("a")}, 80);
+  Matcher generic(big, t, nullptr);
+  EXPECT_TRUE(generic.MatchesWeak());
+  const ReferenceTables ref = ReferenceEmbedding(big, t);
+  ASSERT_EQ(generic.MatchesWeak(), ref.below[0][0]);
+  ASSERT_EQ(generic.MatchesStrong(), ref.sat[0][0]);
   for (NodeId v = 0; v < big.size(); ++v) {
     for (NodeId x = 0; x < t.size(); ++x) {
-      ASSERT_EQ(word.SatAt(v, x), scalar.SatAt(v, x));
-      ASSERT_EQ(word.SatBelow(v, x), scalar.SatBelow(v, x));
+      ASSERT_EQ(generic.SatAt(v, x), ref.sat[v][x]);
+      ASSERT_EQ(generic.SatBelow(v, x), ref.below[v][x]);
     }
   }
 
-  Tpq small = MustParseTpq("a//a", &pool);
-  EngineContext ctx;
-  ContainmentResult compiled = Contains(big, small, Mode::kWeak, &pool, &ctx,
-                                        SweepOptions(true));
-  ContainmentResult generic = Contains(big, small, Mode::kWeak, &pool,
-                                       SweepOptions(false));
-  ASSERT_EQ(compiled.outcome, Outcome::kDecided);
-  EXPECT_EQ(compiled.contained, generic.contained);
-  // q ("a//a") is compilable, so the sweep still compiles; the oversize p
-  // only matters on the tree side.  Assert the *pattern* gate directly:
-  EXPECT_EQ(MatcherProgram::Compile(big, &ctx.budget()), nullptr);
+  // The oversize pattern on the evaluation side of a sweep: p's canonical
+  // models are a 70-a chain over a ⊥-chain, then one more a — contained in
+  // the 70-node child chain, refuted by one node more.
+  Tpq p = MustParseTpq((chain + "//a").c_str(), &pool);
+  Tpq bigger = MustParseTpq((chain + "/a/a").c_str(), &pool);
+  for (const Tpq* q : {&big, &bigger}) {
+    ASSERT_GT(q->size(), 64);
+    EngineContext ctx;
+    ContainmentResult r = Contains(p, *q, Mode::kWeak, &pool, &ctx,
+                                   SweepOptions());
+    ASSERT_EQ(r.outcome, Outcome::kDecided);
+    const std::optional<std::vector<int32_t>> reference =
+        OracleCounterexample(p, *q, Mode::kWeak, &pool);
+    EXPECT_EQ(r.contained, !reference.has_value());
+    EXPECT_EQ(r.counterexample_lengths, reference);
+    // The sweep compiled nothing: the oversize member ran the generic DP.
+    EXPECT_EQ(ctx.stats().programs_compiled.load(std::memory_order_relaxed),
+              0);
+    EXPECT_EQ(ctx.stats().program_exec_hits.load(std::memory_order_relaxed),
+              0);
+    EXPECT_GT(ctx.stats().dp_cells_filled.load(std::memory_order_relaxed),
+              0);
+  }
 }
 
 // The incremental compiled sweep must agree with the from-scratch reference
@@ -236,12 +328,9 @@ TEST(CompiledAgreementTest, IncrementalAndScratchCompiledSweepsAgree) {
     Tpq p = RandomTpq(popts, &rng);
     Tpq q = RandomTpq(qopts, &rng);
     ContainmentResult incremental =
-        Contains(p, q, Mode::kWeak, &pool, SweepOptions(true));
+        Contains(p, q, Mode::kWeak, &pool, SweepOptions());
     const std::optional<std::vector<int32_t>> scratch =
-        NaiveFirstCounterexample(
-            p, q, Mode::kWeak, &pool,
-            EngineSweepBound(q, Mode::kWeak,
-                             ContainmentOptions::Bound::kAggressive, &pool));
+        OracleCounterexample(p, q, Mode::kWeak, &pool);
     ASSERT_EQ(incremental.outcome, Outcome::kDecided);
     ASSERT_EQ(incremental.contained, !scratch.has_value())
         << p.ToString(pool) << " in " << q.ToString(pool);

@@ -215,6 +215,41 @@ TEST(ExhaustionAuditTest, RandomizedInstancesNeverFlipUnderStepLimits) {
   EXPECT_GT(undecided_runs, 0);
 }
 
+// The minimal- and single-canonical routes decide one canonical tree of p
+// with the embedding DP, whose tables (2·|t|·⌈|q|/64⌉ words plus the tree's
+// columns, a few hundred bytes here) must be charged like every other
+// route's: under a memory limit below them, a bare `Contains` reports
+// memory exhaustion instead of deciding.
+TEST(ExhaustionAuditTest, SingleTreeRoutesChargeTheirMatcherTables) {
+  struct RouteCase {
+    const char* p;
+    const char* q;
+    ContainmentAlgorithm algorithm;
+  };
+  const RouteCase cases[] = {
+      {"a/b[c]/d", "a//*//d", ContainmentAlgorithm::kMinimalCanonical},
+      {"a/b/c[d]", "a/*/c", ContainmentAlgorithm::kSingleCanonical},
+  };
+  for (const RouteCase& c : cases) {
+    LabelPool pool;
+    Tpq p = MustParseTpq(c.p, &pool);
+    Tpq q = MustParseTpq(c.q, &pool);
+    EngineContext unlimited;
+    ContainmentResult truth = Contains(p, q, Mode::kWeak, &pool, &unlimited);
+    ASSERT_EQ(truth.outcome, Outcome::kDecided) << c.p;
+    ASSERT_EQ(truth.algorithm, c.algorithm) << c.p;
+    EXPECT_GT(unlimited.budget().bytes_peak(), 64) << c.p;
+
+    EngineConfig config;
+    config.memory_limit = 64;
+    EngineContext ctx(config);
+    ContainmentResult r = Contains(p, q, Mode::kWeak, &pool, &ctx);
+    EXPECT_EQ(r.algorithm, c.algorithm) << c.p;
+    EXPECT_EQ(r.outcome, Outcome::kResourceExhausted) << c.p;
+    EXPECT_EQ(r.reason, ExhaustionReason::kMemory) << c.p;
+  }
+}
+
 TEST(ExhaustionAuditTest, UndecidedRunsCarryAReason) {
   // Exhausted results must name the tripped resource.
   for (const AuditCase& c : FixedCases()) {

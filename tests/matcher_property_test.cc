@@ -1,5 +1,7 @@
-// Property sweep: the Matcher dynamic program against brute-force embedding
-// enumeration, across pattern fragments and tree shapes (parameterized).
+// Property sweep: the Matcher dynamic program against the two reference
+// oracles of reference_sweep.h — brute-force embedding enumeration and the
+// definitional bool tables — which are also cross-checked against each
+// other, across pattern fragments and tree shapes (parameterized).
 
 #include <gtest/gtest.h>
 
@@ -9,33 +11,10 @@
 #include "base/label.h"
 #include "gen/random_instances.h"
 #include "match/embedding.h"
+#include "reference_sweep.h"
 
 namespace tpc {
 namespace {
-
-/// Brute force: does an embedding exist?  Enumerates assignments.
-bool BruteForceMatch(const Tpq& q, const Tree& t, bool strong) {
-  std::vector<NodeId> map(q.size(), kNoNode);
-  auto enumerate = [&](auto&& self, NodeId v) -> bool {
-    if (v == q.size()) return true;
-    for (NodeId x = 0; x < t.size(); ++x) {
-      if (v == 0 && strong && x != 0) continue;
-      if (!q.IsWildcard(v) && q.Label(v) != t.Label(x)) continue;
-      if (v != 0) {
-        NodeId px = map[q.Parent(v)];
-        if (q.Edge(v) == EdgeKind::kChild) {
-          if (t.Parent(x) != px) continue;
-        } else {
-          if (!t.IsProperAncestor(px, x)) continue;
-        }
-      }
-      map[v] = x;
-      if (self(self, v + 1)) return true;
-    }
-    return false;
-  };
-  return enumerate(enumerate, 0);
-}
 
 using MatchSweepParam = std::tuple<int32_t /*fragment idx*/, int32_t /*q size*/,
                                    uint32_t /*seed*/>;
@@ -47,7 +26,7 @@ const Fragment kSweepFragments[] = {
 
 class MatcherSweepTest : public ::testing::TestWithParam<MatchSweepParam> {};
 
-TEST_P(MatcherSweepTest, AgreesWithBruteForce) {
+TEST_P(MatcherSweepTest, AgreesWithBothOracles) {
   auto [frag_idx, q_size, seed] = GetParam();
   LabelPool pool;
   std::mt19937 rng(seed * 7919 + q_size);
@@ -62,10 +41,15 @@ TEST_P(MatcherSweepTest, AgreesWithBruteForce) {
     Tpq q = RandomTpq(qopts, &rng);
     topts.size = 2 + trial % 8;
     Tree t = RandomTree(topts, &rng);
-    EXPECT_EQ(MatchesWeak(q, t), BruteForceMatch(q, t, false))
-        << q.ToString(pool) << " on " << t.ToString(pool);
-    EXPECT_EQ(MatchesStrong(q, t), BruteForceMatch(q, t, true))
-        << q.ToString(pool) << " on " << t.ToString(pool);
+    for (bool strong : {false, true}) {
+      const bool brute = BruteForceMatch(q, t, strong);
+      EXPECT_EQ(ReferenceMatches(q, t, strong), brute)
+          << "oracles disagree: " << q.ToString(pool) << " on "
+          << t.ToString(pool) << (strong ? " strong" : " weak");
+      EXPECT_EQ(strong ? MatchesStrong(q, t) : MatchesWeak(q, t), brute)
+          << q.ToString(pool) << " on " << t.ToString(pool)
+          << (strong ? " strong" : " weak");
+    }
   }
 }
 

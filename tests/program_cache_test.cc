@@ -112,17 +112,34 @@ TEST(ProgramCacheTest, LabelPoolGenerationMovesWithTheMapping) {
 TEST(ProgramCacheTest, ServiceCachesMissAfterPoolReplacement) {
   LabelPool pool;
   EngineContext ctx;
+  // Without the lattice's witness borrowing, every pair below that misses
+  // the verdict cache reaches the probe cascade.
   ServiceOptions sopts;
-  sopts.containment.compile_threshold = 1;
+  sopts.use_lattice = false;
   QueryService service(&pool, &ctx, sopts);
+  // Pairs (p_i, q) whose p_i lack q's letter c: each fails the homomorphism
+  // accept-filter and reaches the probe cascade, which fetches q from the
+  // program pool — so past the service's hotness threshold q is compiled.
+  static constexpr const char* kRefuted[] = {"a//b//d", "a/b//d", "a//b/d",
+                                            "a/b/d", "a//d"};
+  static_assert(sizeof(kRefuted) / sizeof(kRefuted[0]) >
+                QueryService::kProgramHotThreshold);
+  auto warm_q = [&service, &pool](const char* q_text) {
+    Tpq q = MustParseTpq(q_text, &pool);
+    for (const char* p_text : kRefuted) {
+      ContainmentResult r =
+          service.Contains(MustParseTpq(p_text, &pool), q, Mode::kWeak);
+      ASSERT_EQ(r.outcome, Outcome::kDecided);
+      EXPECT_FALSE(r.contained);
+    }
+  };
 
-  // A non-contained pair: the homomorphism accept-filter fails, so the
-  // decision reaches the probe cascade, which compiles q (threshold 1).
   Tpq p = MustParseTpq("a//b//d", &pool);
   Tpq q = MustParseTpq("a//b[c]//d", &pool);
   ContainmentResult first = service.Contains(p, q, Mode::kWeak);
   ASSERT_EQ(first.outcome, Outcome::kDecided);
   EXPECT_FALSE(first.contained);
+  warm_q("a//b[c]//d");
   const int64_t compiled_before =
       ctx.stats().programs_compiled.load(std::memory_order_relaxed);
   EXPECT_GT(compiled_before, 0);
@@ -147,6 +164,7 @@ TEST(ProgramCacheTest, ServiceCachesMissAfterPoolReplacement) {
   // No stale verdict-cache hit...
   EXPECT_EQ(ctx.stats().cache_hits.load(std::memory_order_relaxed),
             hits_before);
+  warm_q("a//b[c]//d");
   // ...and the program pool re-compiled under the new generation instead of
   // serving the old pool's program.
   EXPECT_GT(ctx.stats().programs_compiled.load(std::memory_order_relaxed),
