@@ -56,6 +56,15 @@
 #                                    threads, and a faulted member's unwind
 #                                    must never touch a groupmate's
 #                                    attribution)
+#   scripts/check.sh schema          the schema-engine gate: the engine's
+#                                    unit, agreement (5 variants, DTD and
+#                                    Theorem 6.4 routes) and NTA
+#                                    satisfiability suites, the automata
+#                                    and DTD suites it is built on, the
+#                                    fault matrix and the exhaustion audit
+#                                    under asan AND tsan (parallel rounds
+#                                    and every fault unwind of the DTD and
+#                                    NTA routes share one engine)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -64,6 +73,7 @@ MATCHER_TESTS='tree_view_test|word_parallel_agreement_test|matcher_property_test
 PERSIST_TESTS='snapshot_roundtrip_test|lattice_agreement_test|service_fault_test'
 SERVE_TESTS='serve_protocol_test|serve_scheduler_test|serve_fault_test'
 GROUP_TESTS='group_agreement_test|group_fault_test|incremental_sweep_test|dispatcher_routing_test|compiled_agreement_test|service_agreement_test|query_service_test'
+SCHEMA_TESTS='schema_engine_test|schema_agreement_test|nta_satisfiability_test|nta_test|path_complement_test|dtd_test|dtd_property_test|fault_injection_test|exhaustion_audit_test'
 
 run_preset() {
   local preset="$1"; shift
@@ -105,6 +115,12 @@ elif [[ $1 == group ]]; then
     run_preset "$preset" -R "$GROUP_TESTS"
   done
   exit 0
+elif [[ $1 == schema ]]; then
+  echo "== schema-engine gate (DTD + NTA routes, agreement, faults under asan + tsan) =="
+  for preset in asan tsan; do
+    run_preset "$preset" -R "$SCHEMA_TESTS"
+  done
+  exit 0
 else
   presets=("$1")
 fi
@@ -112,7 +128,7 @@ fi
 for preset in "${presets[@]}"; do
   case "$preset" in
     asan|tsan|ubsan|release) ;;
-    *) echo "usage: $0 [asan|tsan|ubsan|release|faults|matcher|persist|serve|group]" >&2; exit 2 ;;
+    *) echo "usage: $0 [asan|tsan|ubsan|release|faults|matcher|persist|serve|group|schema]" >&2; exit 2 ;;
   esac
 done
 

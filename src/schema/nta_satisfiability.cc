@@ -1,270 +1,12 @@
 #include "schema/nta_satisfiability.h"
 
-#include <algorithm>
-#include <array>
 #include <cassert>
-#include <map>
 #include <set>
-#include <tuple>
-#include <unordered_set>
 #include <vector>
 
 #include "automata/path_complement.h"
-#include "automata/state_interning.h"
-#include "automata/tpq_det.h"
-#include "engine/tracked.h"
 
 namespace tpc {
-
-namespace {
-
-/// `ids` value for a configuration that arrived dominated (see the schema
-/// engine); domination is transitive, so the key never needs revisiting.
-constexpr int32_t kDroppedConfig = -2;
-
-/// One realized configuration of the product: an NTA state together with a
-/// deterministic pattern state (plus its interned Sat/Below ids), a
-/// concrete node label, and a derivation.  Append-only arena; antichain
-/// pruning only clears `active`.
-struct NtaConfig {
-  int32_t nta_state;
-  int32_t p_state;
-  LabelId label;
-  int32_t sat_id, below_id;
-  std::vector<int32_t> children;
-  bool active = true;
-};
-
-}  // namespace
-
-SchemaDecision SatisfiableWithNta(const Tpq& p, Mode mode, const Nta& nta,
-                                  LabelPool* pool, EngineContext* ctx,
-                                  const EngineLimits& limits,
-                                  const SchemaEngineOptions& options) {
-  Budget::ScopedDeadline scoped_deadline(&ctx->budget(),
-                                         limits.max_milliseconds);
-  DetSide det(&p, &ctx->budget());
-  StateSetInterner& interner = det.interner();
-  // Configuration-arena and search-frontier byte accounting; released when
-  // this decision returns.
-  TrackedBytes tracked_configs(&ctx->budget());
-  TrackedBytes tracked_frontier(&ctx->budget());
-  EngineStats& stats = ctx->stats();
-  // Candidate labels for wildcard-labelled transitions: the letters of p
-  // plus one fresh letter (any label outside p behaves identically).
-  std::set<LabelId> label_set(nta.alphabet().begin(), nta.alphabet().end());
-  for (NodeId v = 0; v < p.size(); ++v) {
-    if (!p.IsWildcard(v)) label_set.insert(p.Label(v));
-  }
-  LabelId fresh = pool->Fresh("_any");
-  std::vector<LabelId> wildcard_labels(label_set.begin(), label_set.end());
-  wildcard_labels.push_back(fresh);
-
-  std::vector<NtaConfig> configs;
-  /// Per NTA state: arena indices the horizontal searches may consume.
-  std::vector<std::vector<int32_t>> active_by_state(nta.num_states());
-  std::map<std::tuple<int32_t, int32_t, LabelId>, int32_t> ids;
-  // Union tuples already processed, *per transition*: transitions on the
-  // same state carry different label sets, so a shared memo would lose
-  // labels.  (sat_id, below_id) packs into one uint64.
-  std::vector<std::unordered_set<uint64_t>> realized(nta.transitions().size());
-  bool truncated = false;
-  int32_t goal = -1;
-
-  auto accepts = [&](int32_t nta_state, int32_t p_state) {
-    if (!nta.final_states()[nta_state]) return false;
-    return mode == Mode::kStrong ? det.AcceptsStrong(p_state)
-                                 : det.AcceptsWeak(p_state);
-  };
-
-  /// Horizontal-search node over (NFA state, interned union ids).
-  struct HNode {
-    int32_t h;
-    int32_t sat_id, below_id;
-    int32_t from = -1, via = -1;
-  };
-  std::vector<HNode> nodes;
-  std::unordered_set<std::array<int32_t, 3>, IntArrayHash<3>> seen;
-  std::vector<int32_t> children_scratch;
-  // Frontier accounting fires only when `nodes` reallocates, keeping the
-  // charge at table granularity rather than per search node.
-  size_t reserved_capacity = 0;
-  auto reserve_frontier = [&]() {
-    reserved_capacity = nodes.capacity();
-    return tracked_frontier.Reserve(static_cast<int64_t>(
-        reserved_capacity * (sizeof(HNode) + 3 * sizeof(int32_t))));
-  };
-
-  bool changed = true;
-  while (changed && goal < 0 && !truncated) {
-    changed = false;
-    for (size_t ti = 0; ti < nta.transitions().size(); ++ti) {
-      if (goal >= 0 || truncated) break;
-      const Nta::Transition& tr = nta.transitions()[ti];
-      const std::vector<LabelId> labels =
-          tr.label == kWildcard ? wildcard_labels
-                                : std::vector<LabelId>{tr.label};
-      // Horizontal search over (NFA state, accumulated unions), consuming
-      // realized configurations whose NTA state feeds the transition.
-      nodes.clear();
-      seen.clear();
-      auto push = [&](const HNode& n) {
-        if (!seen.insert({n.h, n.sat_id, n.below_id}).second) return;
-        nodes.push_back(n);
-        stats.horizontal_nodes.fetch_add(1, std::memory_order_relaxed);
-      };
-      constexpr int32_t kEmpty = StateSetInterner::kEmptySetId;
-      push(HNode{tr.horizontal.initial, kEmpty, kEmpty, -1, -1});
-      for (size_t i = 0; i < nodes.size() && goal < 0; ++i) {
-        if (static_cast<int64_t>(nodes.size()) >=
-                limits.max_horizontal_nodes ||
-            !ctx->budget().Charge(1) ||
-            (nodes.capacity() != reserved_capacity && !reserve_frontier())) {
-          truncated = true;
-          break;
-        }
-        if (tr.horizontal.accepting[nodes[i].h]) {
-          const uint64_t tuple =
-              (static_cast<uint64_t>(
-                   static_cast<uint32_t>(nodes[i].sat_id)) << 32) |
-              static_cast<uint32_t>(nodes[i].below_id);
-          if (realized[ti].insert(tuple).second) {
-            children_scratch.clear();
-            for (int32_t n = static_cast<int32_t>(i); nodes[n].from >= 0;
-                 n = nodes[n].from) {
-              children_scratch.push_back(nodes[n].via);
-            }
-            std::reverse(children_scratch.begin(), children_scratch.end());
-            for (LabelId label : labels) {
-              int32_t ps = det.Resolve(label, nodes[i].sat_id,
-                                       nodes[i].below_id);
-              auto key = std::make_tuple(tr.state, ps, label);
-              if (ids.count(key)) continue;
-              const auto [sat_id, below_id] = det.StateSetIds(ps);
-              if (sat_id < 0 || below_id < 0) {
-                truncated = true;
-                break;
-              }
-              std::vector<int32_t>& actives = active_by_state[tr.state];
-              if (options.antichain) {
-                // p occurs only positively here (satisfiability), so the
-                // domination order is plain superset on both components;
-                // labels may differ — the horizontal languages consume NTA
-                // states, never labels, so a dominator substitutes in any
-                // derivation.
-                bool dominated = false;
-                for (int32_t id : actives) {
-                  const NtaConfig& c = configs[id];
-                  if (!c.active) continue;
-                  if (interner.Superset(c.sat_id, sat_id) &&
-                      interner.Superset(c.below_id, below_id)) {
-                    dominated = true;
-                    break;
-                  }
-                }
-                if (dominated) {
-                  stats.configs_subsumed.fetch_add(1,
-                                                   std::memory_order_relaxed);
-                  ids.emplace(key, kDroppedConfig);
-                  continue;
-                }
-                for (int32_t id : actives) {
-                  NtaConfig& c = configs[id];
-                  if (!c.active) continue;
-                  if (interner.Superset(sat_id, c.sat_id) &&
-                      interner.Superset(below_id, c.below_id)) {
-                    c.active = false;
-                    stats.configs_subsumed.fetch_add(
-                        1, std::memory_order_relaxed);
-                  }
-                }
-              }
-              int32_t id = static_cast<int32_t>(configs.size());
-              if (!tracked_configs.Charge(static_cast<int64_t>(
-                      sizeof(NtaConfig) +
-                      children_scratch.size() * sizeof(int32_t)))) {
-                truncated = true;
-                break;
-              }
-              configs.push_back(NtaConfig{tr.state, ps, label, sat_id,
-                                          below_id, children_scratch, true});
-              actives.push_back(id);
-              ids.emplace(key, id);
-              stats.schema_configurations.fetch_add(1,
-                                                    std::memory_order_relaxed);
-              changed = true;
-              if (accepts(tr.state, ps)) {
-                goal = id;
-                break;
-              }
-              if (static_cast<int64_t>(configs.size()) >=
-                  limits.max_configurations) {
-                truncated = true;
-                break;
-              }
-            }
-          }
-          if (goal >= 0 || truncated) break;
-        }
-        const auto& ts = tr.horizontal.transitions[nodes[i].h];
-        for (const auto& [sym, target] : ts) {
-          if (sym >= static_cast<Symbol>(nta.num_states())) continue;
-          const std::vector<int32_t>& actives = active_by_state[sym];
-          for (size_t k = 0; k < actives.size(); ++k) {
-            const NtaConfig& child = configs[actives[k]];
-            if (!child.active) continue;
-            HNode next;
-            next.h = target;
-            next.sat_id = interner.Union(nodes[i].sat_id, child.sat_id);
-            next.below_id = interner.Union(nodes[i].below_id, child.below_id);
-            if (next.sat_id < 0 || next.below_id < 0) {
-              truncated = true;
-              break;
-            }
-            next.from = static_cast<int32_t>(i);
-            next.via = actives[k];
-            push(next);
-          }
-          if (truncated) break;
-        }
-        if (truncated) break;
-      }
-    }
-  }
-
-  SchemaDecision out;
-  out.configurations = static_cast<int64_t>(configs.size());
-  out.decided = goal >= 0 || !truncated;
-  out.outcome = out.decided ? Outcome::kDecided : Outcome::kResourceExhausted;
-  if (!out.decided) {
-    // Before the ScopedDeadline unwinds: legacy caps trip without a budget
-    // reason and report as the work-volume (kSteps) limit they are.
-    const ExhaustionReason r = ctx->budget().reason();
-    out.reason = r == ExhaustionReason::kNone ? ExhaustionReason::kSteps : r;
-  }
-  out.yes = goal >= 0;
-  stats.det_states_materialized.fetch_add(det.num_materialized(),
-                                          std::memory_order_relaxed);
-  stats.state_sets_interned.fetch_add(interner.num_interned(),
-                                      std::memory_order_relaxed);
-  stats.unions_memoized.fetch_add(interner.unions_memoized(),
-                                  std::memory_order_relaxed);
-  if (goal >= 0) {
-    // Materialize the witness tree (the arena keeps deactivated configs, so
-    // every derivation index stays valid).
-    Tree t;
-    std::vector<std::pair<int32_t, NodeId>> queue = {{goal, kNoNode}};
-    for (size_t i = 0; i < queue.size(); ++i) {
-      auto [cfg_index, parent] = queue[i];
-      const NtaConfig& cfg = configs[cfg_index];
-      NodeId v = parent == kNoNode ? t.AddRoot(cfg.label)
-                                   : t.AddChild(parent, cfg.label);
-      for (int32_t child : cfg.children) queue.emplace_back(child, v);
-    }
-    out.witness = std::move(t);
-  }
-  return out;
-}
 
 SchemaDecision ContainedViaConpRoute(const Tpq& p, const Tpq& q, Mode mode,
                                      const Dtd& dtd, LabelPool* pool,
@@ -288,26 +30,13 @@ SchemaDecision ContainedViaConpRoute(const Tpq& p, const Tpq& q, Mode mode,
   stats.nta_transitions_built.fetch_add(
       static_cast<int64_t>(product.transitions().size()),
       std::memory_order_relaxed);
-  SchemaDecision sat =
+  SchemaDecision out =
       SatisfiableWithNta(p, mode, product, pool, ctx, limits, options);
-  SchemaDecision out;
-  out.decided = sat.decided;
-  out.outcome = sat.outcome;
-  out.reason = sat.reason;
-  out.yes = !sat.yes;  // contained iff no witness of p ∧ d ∧ ¬q
-  out.witness = std::move(sat.witness);
-  out.configurations = sat.configurations;
+  out.yes = !out.yes;  // contained iff no witness of p ∧ d ∧ ¬q
   return out;
 }
 
 // Legacy entry points: same algorithms against the process-default context.
-
-SchemaDecision SatisfiableWithNta(const Tpq& p, Mode mode, const Nta& nta,
-                                  LabelPool* pool,
-                                  const EngineLimits& limits) {
-  return SatisfiableWithNta(p, mode, nta, pool, &EngineContext::Default(),
-                            limits);
-}
 
 SchemaDecision ContainedViaConpRoute(const Tpq& p, const Tpq& q, Mode mode,
                                      const Dtd& dtd, LabelPool* pool,

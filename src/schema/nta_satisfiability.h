@@ -7,9 +7,9 @@
 //   2. testing satisfiability of p w.r.t. that NTA (in NP, Obs. 6.5):
 // containment holds iff p is unsatisfiable there.
 //
-// The satisfiability check mirrors the schema engine: reachable
-// configurations are (NTA state, deterministic-pattern-automaton state)
-// pairs; horizontal searches accumulate unions of children capabilities.
+// The satisfiability check is the schema engine itself (schema_engine.cc),
+// run over the given NTA instead of a DTD's automaton: one fixpoint over
+// (NTA state, label, deterministic-pattern-automaton state) configurations.
 
 #ifndef TPC_SCHEMA_NTA_SATISFIABILITY_H_
 #define TPC_SCHEMA_NTA_SATISFIABILITY_H_
@@ -26,8 +26,11 @@ namespace tpc {
 /// exponential (the problem is NP-complete), with a witness on success.
 /// The ctx overload additionally honours the context budget (with
 /// `EngineLimits::max_milliseconds` armed onto it for the call) and fills
-/// its instrumentation counters; `options.antichain` prunes dominated
-/// (NTA state, pattern state) configurations exactly as in the DTD engine.
+/// its instrumentation counters; `options.antichain` and parallel rounds
+/// work exactly as for the DTD entry points.  A wildcard transition tries
+/// the NTA's alphabet, the letters of p and the pool's reserved `Bottom()`
+/// as a filler for every other label; `pool` is not touched when `nta` has
+/// no wildcard transition.
 SchemaDecision SatisfiableWithNta(const Tpq& p, Mode mode, const Nta& nta,
                                   LabelPool* pool, EngineContext* ctx,
                                   const EngineLimits& limits = {},

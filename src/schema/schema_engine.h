@@ -9,13 +9,18 @@
 //   * validity of q w.r.t. d:        no p           — nonempty ⇔ NOT valid
 //   * containment of p in q w.r.t d: both           — nonempty ⇔ NOT contained
 //
-// The engine computes the reachable configurations (a, ps, qs) where `a` is
-// a DTD symbol and ps/qs are states of the lazy deterministic bottom-up
-// automata of p and q (`TpqDetAutomaton`).  A configuration is realizable if
-// some tree with root label `a` satisfying d's rules drives the automata to
-// (ps, qs).  Because the deterministic pattern states depend only on the
-// *unions* of the children's Sat/Below sets, the per-symbol horizontal
-// search runs over (content-model NFA state, accumulated unions).
+// One saturation engine decides all of them.  A DTD is a special NTA
+// (Observation 6.2): the engine runs over `dtd.Automaton()`, whose states
+// are the DTD's symbols and whose horizontal languages are the content
+// models, and `SatisfiableWithNta` (schema/nta_satisfiability.h) runs the
+// same engine over an arbitrary NTA.  It computes the reachable
+// configurations (s, a, ps, qs) where `s` is an NTA state, `a` a node
+// label, and ps/qs are states of the lazy deterministic bottom-up automata
+// of p and q (`TpqDetAutomaton`).  A configuration is realizable if some
+// tree with root label `a` has a run ending in `s` and drives the pattern
+// automata to (ps, qs).  Because the deterministic pattern states depend
+// only on the *unions* of the children's Sat/Below sets, the per-transition
+// horizontal search runs over (horizontal NFA state, accumulated unions).
 //
 // The procedure is worst-case exponential — unavoidably so: the paper proves
 // the general problems EXPTIME-complete (Theorem 6.6) — but it is the exact
@@ -41,7 +46,7 @@ namespace tpc {
 /// instance while keeping wall-clock time bounded.
 struct EngineLimits {
   int64_t max_configurations = INT64_MAX;
-  /// Cap on the per-symbol horizontal search frontier; a single content
+  /// Cap on the per-transition horizontal search frontier; a single content
   /// model can otherwise blow up before the configuration cap triggers.
   int64_t max_horizontal_nodes = INT64_MAX;
   /// Wall-clock deadline; 0 means unlimited.  Armed onto the context budget
@@ -53,7 +58,7 @@ struct EngineLimits {
 
 /// A/B switches for the schema engine's exploration core.
 struct SchemaEngineOptions {
-  /// Keep only subsumption-maximal configurations per symbol and drop
+  /// Keep only subsumption-maximal configurations per NTA state and drop
   /// dominated ones on insert (antichain pruning).  Sound and complete —
   /// see DESIGN.md "Schema engine internals" — and typically shrinks the
   /// materialized configuration count by an order of magnitude on the
@@ -79,15 +84,15 @@ struct SchemaDecision {
   /// For satisfiability: a tree in L(p) ∩ L(d).
   /// For validity / containment: a counterexample tree.
   std::optional<Tree> witness;
-  /// Number of (symbol, pattern-state) configurations materialized — the
-  /// cost measure reported by the Table 4/5 benchmarks.
+  /// Number of (state, label, pattern-state) configurations materialized —
+  /// the cost measure reported by the Table 4/5 benchmarks.
   int64_t configurations = 0;
 };
 
 /// Is L(p) ∩ L(d) nonempty?  (W-/S-Satisfiability w.r.t. a DTD, Section 4.)
 /// The ctx overload additionally honours the context's step/deadline budget
 /// and fills its instrumentation counters; with `ctx->threads() > 1` the
-/// per-symbol horizontal searches of each saturation round run on the
+/// per-transition horizontal searches of each saturation round run on the
 /// context's thread pool.
 SchemaDecision SatisfiableWithDtd(const Tpq& p, Mode mode, const Dtd& dtd,
                                   EngineContext* ctx,

@@ -4,7 +4,9 @@
 
 #include <random>
 
+#include "automata/nta.h"
 #include "base/label.h"
+#include "dtd/dtd.h"
 #include "gen/random_instances.h"
 #include "match/embedding.h"
 #include "pattern/tpq_parser.h"
@@ -18,11 +20,14 @@ class NtaSatisfiabilityTest : public ::testing::Test {
 };
 
 TEST_F(NtaSatisfiabilityTest, AgreesWithDtdEngineOnPlainDtds) {
-  // With the NTA being exactly a DTD automaton, SatisfiableWithNta must
-  // agree with the schema engine.
+  // SatisfiableWithNta over a DTD automaton, checked against oracles
+  // outside the engine: for a path p the polynomial emptiness test of the
+  // product with p's automaton (Theorem 4.1(1)) decides the answer, and
+  // every `yes` witness must be accepted by the NTA and match p.
   std::mt19937 rng(2026);
   std::vector<LabelId> labels = MakeLabels(3, &pool_);
   int checked = 0;
+  int path_checked = 0;
   for (int trial = 0; trial < 30; ++trial) {
     RandomDtdOptions dopts;
     dopts.labels = labels;
@@ -34,22 +39,37 @@ TEST_F(NtaSatisfiabilityTest, AgreesWithDtdEngineOnPlainDtds) {
     opts.fragment = fragments::kTpqFull;
     opts.size = 2 + trial % 4;
     Tpq p = RandomTpq(opts, &rng);
-    for (Mode mode : {Mode::kWeak, Mode::kStrong}) {
-      SchemaDecision via_nta = SatisfiableWithNta(p, mode, nta, &pool_);
-      SchemaDecision via_engine = SatisfiableWithDtd(p, mode, d);
-      ASSERT_EQ(via_nta.yes, via_engine.yes)
-          << p.ToString(pool_) << " wrt\n" << d.ToString(pool_);
-      if (via_nta.yes) {
-        ASSERT_TRUE(via_nta.witness.has_value());
-        EXPECT_TRUE(d.Satisfies(*via_nta.witness));
-        EXPECT_TRUE(mode == Mode::kStrong
-                        ? MatchesStrong(p, *via_nta.witness)
-                        : MatchesWeak(p, *via_nta.witness));
+    RandomTpqOptions path_opts = opts;
+    path_opts.fragment = fragments::kPqFull;
+    Tpq path = RandomTpq(path_opts, &rng);
+    for (const Tpq* pattern : {&p, &path}) {
+      for (Mode mode : {Mode::kWeak, Mode::kStrong}) {
+        SchemaDecision via_nta =
+            SatisfiableWithNta(*pattern, mode, nta, &pool_);
+        ASSERT_TRUE(via_nta.decided);
+        if (IsPathQuery(*pattern)) {
+          const bool empty =
+              Nta::Intersect(nta, Nta::FromPathQuery(
+                                      *pattern, mode == Mode::kStrong))
+                  .IsEmpty();
+          ASSERT_EQ(via_nta.yes, !empty)
+              << pattern->ToString(pool_) << " wrt\n" << d.ToString(pool_);
+          ++path_checked;
+        }
+        if (via_nta.yes) {
+          ASSERT_TRUE(via_nta.witness.has_value());
+          EXPECT_TRUE(nta.Accepts(*via_nta.witness));
+          EXPECT_TRUE(d.Satisfies(*via_nta.witness));
+          EXPECT_TRUE(mode == Mode::kStrong
+                          ? MatchesStrong(*pattern, *via_nta.witness)
+                          : MatchesWeak(*pattern, *via_nta.witness));
+        }
+        ++checked;
       }
-      ++checked;
     }
   }
-  EXPECT_GT(checked, 20);
+  EXPECT_GT(checked, 40);
+  EXPECT_GT(path_checked, 20);
 }
 
 TEST_F(NtaSatisfiabilityTest, ConpRouteAgreesWithEngine) {
@@ -105,6 +125,29 @@ TEST_F(NtaSatisfiabilityTest, WildcardTransitionsUseFreshLabels) {
   ASSERT_TRUE(r.witness.has_value());
   EXPECT_TRUE(MatchesStrong(path, *r.witness));
   EXPECT_TRUE(MatchesWeak(p, *r.witness));
+}
+
+TEST_F(NtaSatisfiabilityTest, RepeatedDecisionsDoNotGrowThePool) {
+  // The wildcard filler is the pool's reserved ⊥, minted at most once, and
+  // an NTA without wildcard transitions never touches the pool: a
+  // long-lived pool does not grow per decision.
+  Dtd d = MustParseDtd("root: a; a -> b c?; b -> eps; c -> eps;", &pool_);
+  Tpq p = MustParseTpq("a//c", &pool_);
+  Tpq q = MustParseTpq("a/b", &pool_);
+  Tpq path = MustParseTpq("a//b", &pool_);
+  Nta open_nta = Nta::FromPathQuery(path, /*strong=*/true);
+  Tpq any_child = MustParseTpq("a/*", &pool_);
+  auto decide_both = [&] {
+    EXPECT_TRUE(ContainedViaConpRoute(p, q, Mode::kWeak, d, &pool_).yes);
+    EXPECT_TRUE(
+        SatisfiableWithNta(any_child, Mode::kWeak, open_nta, &pool_).yes);
+  };
+  decide_both();
+  const size_t size_after_first = pool_.size();
+  for (int call = 0; call < 3; ++call) {
+    decide_both();
+    EXPECT_EQ(pool_.size(), size_after_first) << "call " << call;
+  }
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // The antichain-pruned engine, the unpruned engine, and the parallel
 // (round-based, multi-threaded) engine are three routes through the same
 // reachable-configuration fixpoint; on every decidable instance they must
-// return the same answer for all three decision problems, and any witness
+// return the same answer for all three decision problems and for the
+// Theorem 6.4 route (the engine over a product NTA), and any witness
 // they produce must actually certify it.  Witness *trees* may legitimately
 // differ between variants (different exploration orders find different
 // goals), so we check witness validity, not equality.
@@ -19,6 +20,7 @@
 #include "gen/random_instances.h"
 #include "match/embedding.h"
 #include "pattern/tpq.h"
+#include "schema/nta_satisfiability.h"
 #include "schema/schema_engine.h"
 
 namespace tpc {
@@ -129,6 +131,60 @@ TEST(SchemaAgreementTest, VariantsAgreeOn300RandomInstances) {
     EXPECT_GT(yes_count[which], 10) << "problem " << which;
     EXPECT_GT(no_count[which], 10) << "problem " << which;
   }
+}
+
+TEST(SchemaAgreementTest, ConpRouteAgreesAcrossVariants) {
+  // The Theorem 6.4 route runs the same engine over the product of the DTD
+  // automaton and the complement automaton of a path q.  Under every
+  // variant — including parallel rounds over the product's transitions —
+  // it must answer as ContainedWithDtd, with a certifying counterexample.
+  LabelPool pool;
+  std::mt19937 rng(20261017);
+  int instances = 0;
+  int yes_count = 0;
+  int no_count = 0;
+  while (instances < 100) {
+    std::vector<LabelId> labels = MakeLabels(2 + instances % 3, &pool);
+    RandomDtdOptions dopts;
+    dopts.labels = labels;
+    Dtd d = RandomDtd(dopts, &rng);
+    if (d.IsEmptyLanguage()) continue;
+    RandomTpqOptions popts;
+    popts.labels = labels;
+    popts.fragment = fragments::kTpqFull;
+    popts.size = 2 + instances % 4;
+    Tpq p = RandomTpq(popts, &rng);
+    RandomTpqOptions qopts = popts;
+    qopts.fragment = fragments::kPqFull;
+    qopts.size = 1 + instances % 3;
+    Tpq q = RandomTpq(qopts, &rng);
+    Mode mode = instances % 2 ? Mode::kStrong : Mode::kWeak;
+    // An unsatisfiable p is trivially contained; keep the instances where
+    // the route has a counterexample to look for.
+    if (!SatisfiableWithDtd(p, mode, d).yes) continue;
+    ++instances;
+    SchemaDecision reference = RunVariant(kVariants[0], 2, p, q, mode, d);
+    ASSERT_TRUE(reference.decided) << "instance " << instances;
+    (reference.yes ? yes_count : no_count)++;
+    for (const Variant& v : kVariants) {
+      EngineConfig config;
+      config.threads = v.threads;
+      EngineContext ctx(config);
+      SchemaEngineOptions options;
+      options.antichain = v.antichain;
+      SchemaDecision r = ContainedViaConpRoute(p, q, mode, d, &pool, &ctx,
+                                               EngineLimits{}, options);
+      ASSERT_TRUE(r.decided) << v.name << " instance " << instances;
+      EXPECT_EQ(reference.yes, r.yes)
+          << v.name << ": " << p.ToString(pool) << " in " << q.ToString(pool)
+          << (mode == Mode::kStrong ? " strong" : " weak") << " with\n"
+          << d.ToString(pool);
+      EXPECT_EQ(r.yes, !r.witness.has_value()) << v.name;
+      CheckWitness(2, r, p, q, mode, d);
+    }
+  }
+  EXPECT_GT(yes_count, 20);
+  EXPECT_GT(no_count, 20);
 }
 
 TEST(SchemaAgreementTest, CapsNeverFlipAnswersAcrossVariants) {
