@@ -170,17 +170,20 @@ int64_t TotalStat(const EngineContext& group_ctx,
   return total;
 }
 
-/// Decides the first `ctxs.size()` members of `w`: one `ContainsGroup` call,
-/// or (`grouped` false) a plain loop of independent `Contains` calls, each
-/// on the member's own context.
+/// Decides the first `ctxs.size()` members of `w` by the canonical sweep
+/// (`force_canonical`; the dispatcher's default type set shares only p):
+/// one `ContainsGroup` call, or (`grouped` false) a plain loop of
+/// independent `Contains` calls, each on the member's own context.
 std::vector<ContainmentResult> DecideMembers(
     GroupWorkload& w, bool grouped, EngineContext* group_ctx,
     const std::vector<std::unique_ptr<EngineContext>>& ctxs) {
+  ContainmentOptions sweep;
+  sweep.force_canonical = true;
   std::vector<ContainmentResult> results;
   if (!grouped) {
     for (size_t i = 0; i < ctxs.size(); ++i) {
       results.push_back(
-          Contains(w.p, w.qs[i], Mode::kWeak, &w.pool, ctxs[i].get()));
+          Contains(w.p, w.qs[i], Mode::kWeak, &w.pool, ctxs[i].get(), sweep));
     }
     return results;
   }
@@ -188,7 +191,7 @@ std::vector<ContainmentResult> DecideMembers(
   for (size_t i = 0; i < ctxs.size(); ++i) {
     members.push_back({&w.qs[i], ctxs[i].get()});
   }
-  return ContainsGroup(w.p, members, Mode::kWeak, &w.pool, group_ctx);
+  return ContainsGroup(w.p, members, Mode::kWeak, &w.pool, group_ctx, sweep);
 }
 
 void RunGroupSweep(benchmark::State& state, bool grouped, int refuted) {

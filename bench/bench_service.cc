@@ -265,8 +265,12 @@ ConpProbePair MakeConpProbePair(int32_t n) {
 void RunConpRefute(benchmark::State& state, bool use_prefilters) {
   ConpProbePair pair = MakeConpProbePair(static_cast<int32_t>(state.range(0)));
   EngineContext ctx;
-  QueryService service(&pair.pool, &ctx,
-                       MakeServiceOptions(/*use_cache=*/false, use_prefilters));
+  ServiceOptions options =
+      MakeServiceOptions(/*use_cache=*/false, use_prefilters);
+  // Without the probes the pair goes to the dispatcher; force the sweep
+  // there (its default type set refutes this pair with one fold).
+  options.containment.force_canonical = !use_prefilters;
+  QueryService service(&pair.pool, &ctx, options);
   for (auto _ : state) {
     ContainmentResult r = service.Contains(pair.p, pair.q, Mode::kWeak);
     if (r.outcome != Outcome::kDecided || r.contained) {

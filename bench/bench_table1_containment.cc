@@ -6,8 +6,9 @@
 //     instances of growing size (expect smooth polynomial scaling);
 //   * the coNP-complete cell (branching + / + // on the left, wildcards on
 //     the right — Theorem 3.3) is exercised on the engineered worst-case
-//     family, where the canonical-model procedure must sweep an
-//     exponentially large model space.
+//     family, whose canonical-model space is exponentially large: the
+//     dispatcher's type set folds q's automaton over it, and the
+//     `force_canonical` rows (parallel and incremental sweep) enumerate it.
 //
 // Rows are labelled by the dispatcher algorithm, matching the theorems:
 //   Homomorphism        — q wildcard-free            (Thm 3.1 region, P)
@@ -15,7 +16,8 @@
 //   SingleCanonical     — p descendant-free          (Thm 3.1(2)/3.2(4), P)
 //   PathInTpq           — p a path query             (Thm 3.2(1), P)
 //   ChildFreeInTpq      — p child-edge-free          (Thm 3.2(2), P)
-//   CanonicalEnumeration— general case               (Thm 3.3, coNP-c)
+//   CanonicalEnumeration— general case               (Thm 3.3, coNP-c;
+//                         decided by the type set, row name kept)
 
 #include <benchmark/benchmark.h>
 
@@ -127,7 +129,10 @@ void BM_P_ChildFreeInTpq(benchmark::State& state) {
 BENCHMARK(BM_P_ChildFreeInTpq)->Arg(10)->Arg(20)->Arg(40)->Arg(80);
 
 /// The coNP-complete cell: p ∈ TPQ(/,//), q ∈ PQ(/,*); the canonical-model
-/// enumeration certifies containment only after (B+1)^n models.
+/// enumeration would certify containment only after (B+1)^n models.  The
+/// dispatcher's type set folds q's automaton over that model space instead;
+/// `states_per_decision` counts the states it materializes (linear in n on
+/// this family).  The row name is kept from the sweep's baselines.
 void BM_CoNP_CanonicalEnumeration(benchmark::State& state) {
   int32_t n = static_cast<int32_t>(state.range(0));
   LabelPool pool;
@@ -148,11 +153,15 @@ void BM_CoNP_CanonicalEnumeration(benchmark::State& state) {
   }
   state.counters["branches"] = n;
   // q_yes has a wildcard chain of length 3, so the aggressive bound is 4
-  // and the sweep visits 5^n canonical models.
+  // and the model space holds 5^n canonical models.
   state.counters["models_per_decision"] =
       std::pow(5.0, static_cast<double>(n));
   state.counters["models_swept"] = static_cast<double>(
       ctx.stats().canonical_trees_enumerated.load(std::memory_order_relaxed));
+  state.counters["states_per_decision"] = benchmark::Counter(
+      static_cast<double>(
+          ctx.stats().type_set_states.load(std::memory_order_relaxed)),
+      benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_CoNP_CanonicalEnumeration)->Arg(2)->Arg(3)->Arg(4)->Arg(5)
     ->Arg(6)->Arg(7);
@@ -160,9 +169,9 @@ BENCHMARK(BM_CoNP_CanonicalEnumeration)->Arg(8)->Arg(9)->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 
 /// The coNP cell again, swept with the chunked-parallel canonical
-/// enumeration.  Args are (branches, threads); thread count 1 is the
-/// sequential baseline, so the per-n speedup reads directly off the report.
-/// The verdict must be identical at every thread count.
+/// enumeration (`force_canonical`).  Args are (branches, threads); thread
+/// count 1 is the sequential baseline, so the per-n speedup reads directly
+/// off the report.  The verdict must be identical at every thread count.
 void BM_CoNP_ParallelSweep(benchmark::State& state) {
   int32_t n = static_cast<int32_t>(state.range(0));
   int threads = static_cast<int>(state.range(1));
@@ -170,6 +179,7 @@ void BM_CoNP_ParallelSweep(benchmark::State& state) {
   ConpFamilyInstance inst = BuildConpFamily(n, &pool);
   ContainmentOptions aggressive;
   aggressive.bound = ContainmentOptions::Bound::kAggressive;
+  aggressive.force_canonical = true;
   EngineConfig config;
   config.threads = threads;
   EngineContext ctx(config);
@@ -191,7 +201,8 @@ BENCHMARK(BM_CoNP_ParallelSweep)
     ->ArgsProduct({{6, 7, 8}, {1, 2, 4, 8}})
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-/// The incremental canonical sweep on the coNP family.  Args are
+/// The incremental canonical sweep (`force_canonical`) on the coNP family.
+/// Args are
 /// (branches, 1, 1); the trailing arguments are always 1 so the row names
 /// match earlier baselines, which also recorded from-scratch and
 /// scalar-kernel twins.  The DP counters are per decision: `dp_cells_filled`
@@ -205,6 +216,7 @@ void BM_CoNP_IncrementalSweep(benchmark::State& state) {
   ConpFamilyInstance inst = BuildConpFamily(n, &pool);
   ContainmentOptions options;
   options.bound = ContainmentOptions::Bound::kAggressive;
+  options.force_canonical = true;
   EngineContext ctx;
   int64_t decided = 0;
   for (auto _ : state) {

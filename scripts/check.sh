@@ -45,6 +45,9 @@
 #   scripts/check.sh group           the dispatcher-and-sweep gate: the
 #                                    500-instance grouped-vs-solo agreement
 #                                    suite (with its naive reference sweep),
+#                                    the type-set agreement suite (3000+
+#                                    random pairs against the reference
+#                                    sweep, witnesses replayed),
 #                                    the member fault matrix, the solo sweep
 #                                    suites (incremental vs the reference,
 #                                    dispatcher routing, compiled agreement)
@@ -72,7 +75,7 @@ FAULT_TESTS='fault_injection_test|exhaustion_audit_test|parser_mutation_test|ser
 MATCHER_TESTS='tree_view_test|word_parallel_agreement_test|matcher_property_test|incremental_sweep_test|table1_sweep_test|compiled_agreement_test|program_cache_test|query_service_test|snapshot_roundtrip_test'
 PERSIST_TESTS='snapshot_roundtrip_test|lattice_agreement_test|service_fault_test'
 SERVE_TESTS='serve_protocol_test|serve_scheduler_test|serve_fault_test'
-GROUP_TESTS='group_agreement_test|group_fault_test|incremental_sweep_test|dispatcher_routing_test|compiled_agreement_test|service_agreement_test|query_service_test'
+GROUP_TESTS='group_agreement_test|typeset_agreement_test|group_fault_test|incremental_sweep_test|dispatcher_routing_test|compiled_agreement_test|service_agreement_test|query_service_test'
 SCHEMA_TESTS='schema_engine_test|schema_agreement_test|nta_satisfiability_test|nta_test|path_complement_test|dtd_test|dtd_property_test|fault_injection_test|exhaustion_audit_test'
 
 run_preset() {
@@ -110,7 +113,7 @@ elif [[ $1 == persist ]]; then
   done
   exit 0
 elif [[ $1 == group ]]; then
-  echo "== dispatcher-and-sweep gate (agreement, oracle, member faults, solo sweeps, service batches under asan + tsan) =="
+  echo "== dispatcher-and-sweep gate (agreement, type set vs oracle, member faults, solo sweeps, service batches under asan + tsan) =="
   for preset in asan tsan; do
     run_preset "$preset" -R "$GROUP_TESTS"
   done

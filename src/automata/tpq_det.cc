@@ -1,5 +1,7 @@
 #include "automata/tpq_det.h"
 
+#include <algorithm>
+
 namespace tpc {
 
 TpqDetAutomaton::TpqDetAutomaton(const Tpq& q) : q_(q) {}
@@ -35,19 +37,29 @@ TpqDetAutomaton::StateId TpqDetAutomaton::StateForUnion(
     LabelId label, const uint64_t* children_sat,
     const uint64_t* children_below) {
   State state{NodeBitset(q_.size()), NodeBitset(q_.size())};
-  // Pattern children have larger ids than parents, so one backwards pass
-  // computes Sat bottom-up over the pattern.
-  for (NodeId v = q_.size() - 1; v >= 0; --v) {
-    bool ok = q_.IsWildcard(v) || q_.Label(v) == label;
-    for (NodeId z = q_.FirstChild(v); z != kNoNode && ok;
-         z = q_.NextSibling(z)) {
-      ok = q_.Edge(z) == EdgeKind::kChild ? TestWordBit(children_sat, z)
-                                          : TestWordBit(children_below, z);
-    }
-    if (ok) state.sat.Set(v);
-    if (ok || TestWordBit(children_below, v)) state.below.Set(v);
-  }
+  TpqTransition(q_, label, children_sat, children_below,
+                state.sat.mutable_words(), state.below.mutable_words());
   return Intern(std::move(state));
+}
+
+void TpqTransition(const Tpq& q, LabelId label, const uint64_t* children_sat,
+                   const uint64_t* children_below, uint64_t* sat,
+                   uint64_t* below) {
+  const int32_t words = (q.size() + 63) / 64;
+  std::fill(sat, sat + words, 0);
+  std::fill(below, below + words, 0);
+  // A node's Sat bits read only the children's unions, never each other, so
+  // one pass over the pattern in any order fills both sets.
+  for (NodeId v = q.size() - 1; v >= 0; --v) {
+    bool ok = q.IsWildcard(v) || q.Label(v) == label;
+    for (NodeId z = q.FirstChild(v); z != kNoNode && ok;
+         z = q.NextSibling(z)) {
+      ok = q.Edge(z) == EdgeKind::kChild ? TestWordBit(children_sat, z)
+                                         : TestWordBit(children_below, z);
+    }
+    if (ok) SetWordBit(sat, v);
+    if (ok || TestWordBit(children_below, v)) SetWordBit(below, v);
+  }
 }
 
 }  // namespace tpc

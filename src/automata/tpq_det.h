@@ -65,11 +65,21 @@ class NodeBitset {
 
   /// Raw word access for interning (see automata/state_interning.h).
   const uint64_t* words() const { return words_.data(); }
+  uint64_t* mutable_words() { return words_.data(); }
   int32_t num_words() const { return static_cast<int32_t>(words_.size()); }
 
  private:
   std::vector<uint64_t> words_;
 };
+
+/// The automaton's transition, uninterned: writes the (Sat, Below) state of
+/// a node with `label` whose children's states union to `children_sat` /
+/// `children_below` into `sat` / `below`.  Every set is ⌈|q|/64⌉ words; the
+/// outputs are overwritten and must not alias the inputs.  Monotone: larger
+/// children unions never shrink either output set.
+void TpqTransition(const Tpq& q, LabelId label, const uint64_t* children_sat,
+                   const uint64_t* children_below, uint64_t* sat,
+                   uint64_t* below);
 
 /// Lazily materialized deterministic bottom-up TPQ automaton.
 class TpqDetAutomaton {

@@ -12,10 +12,14 @@
 //   * p descendant-free (Thm 3.1(2), 3.2(4)): p has a unique canonical tree.
 //   * p a path query (Thm 3.2(1)):     island recursion (Lemmas B.1, B.2).
 //   * p child-edge-free (Thm 3.2(2)):  singular-pattern DP (Claim B.4).
-//   * otherwise:                       bounded canonical-model enumeration
-//     (coNP procedure of Miklau & Suciu; exponential only in the number of
-//     descendant edges of p — and the problem is coNP-complete here,
-//     Thm 3.3).
+//   * otherwise (Thm 3.3, coNP-complete): the type-set route
+//     (contain/type_set.h) — one match against p's minimal canonical tree,
+//     then q's deterministic automaton folded over p's whole canonical-model
+//     space.  The bounded canonical-model enumeration of Miklau & Suciu
+//     (exponential in the number of descendant edges of p) decides the same
+//     question over the same models; it runs only under `force_canonical`
+//     and through `CanonicalContainment`, as the ground truth the other
+//     routes are tested against.
 //
 // Strong containment is reduced to weak containment by the (schema-free)
 // root-relabelling of Observation 2.3.
@@ -47,20 +51,23 @@ enum class ContainmentAlgorithm {
   kSingleCanonical,       // p descendant-free
   kPathInTpq,             // p path query (Theorem 3.2(1))
   kChildFreeInTpq,        // p child-edge-free (Theorem 3.2(2))
-  kCanonicalEnumeration,  // general coNP procedure
+  kCanonicalEnumeration,  // canonical-model sweep (force_canonical)
+  kTypeSet,               // general coNP cell: automaton over p's models
 };
 
 struct ContainmentResult {
   bool contained = false;
   /// A tree in L(p) \ L(q) when not contained and the selected procedure
-  /// produces witnesses (the canonical-model based procedures do; the
-  /// recursive P algorithms of Theorems 3.2(1)/(2) do not).
+  /// produces witnesses (the canonical-model based procedures and the type
+  /// set do; the recursive P algorithms of Theorems 3.2(1)/(2) do not).  The
+  /// sweep reports the first counterexample in enumeration order, the type
+  /// set some counterexample.
   std::optional<Tree> counterexample;
   /// The spine chain-length vector (one entry per descendant edge of p, in
   /// document order) whose canonical model the counterexample is.  Set
   /// whenever `counterexample` comes from a canonical model — including the
-  /// parallel sweep, the homomorphism route (all-ones vector) and the
-  /// single/minimal canonical routes.
+  /// parallel sweep, the type set, the homomorphism route (all-ones vector)
+  /// and the single/minimal canonical routes.
   std::optional<std::vector<int32_t>> counterexample_lengths;
   ContainmentAlgorithm algorithm = ContainmentAlgorithm::kCanonicalEnumeration;
   /// `kResourceExhausted` when the engine budget ran out before the answer
@@ -71,15 +78,17 @@ struct ContainmentResult {
   ExhaustionReason reason = ExhaustionReason::kNone;
 };
 
-/// Options controlling the fallback canonical-model procedure.
+/// Options controlling the general (coNP) procedures.
 struct ContainmentOptions {
-  /// Chain-length bound for canonical models.  kSafe uses |q|+1, which we
-  /// prove sufficient by a counting argument; kAggressive uses the
-  /// Miklau-Suciu style bound (longest wildcard chain of q) + 1.
+  /// Chain-length bound for canonical models (the sweep's and the type
+  /// set's model space).  kSafe uses |q|+1, which we prove sufficient by a
+  /// counting argument; kAggressive uses the Miklau-Suciu style bound
+  /// (longest wildcard chain of q) + 1.
   enum class Bound { kSafe, kAggressive };
   Bound bound = Bound::kSafe;
   /// If true, the dispatcher may not route to the fragment-specific P
-  /// algorithms (used by tests to force the general procedure).
+  /// algorithms nor to the type set: every decision runs the canonical
+  /// sweep (the reference procedure tests and benchmarks check against).
   bool force_canonical = false;
   /// If true, the canonical sweep never engages the thread pool even when
   /// `ctx->threads() > 1`.  Callers that are *themselves* pool jobs (the
@@ -127,17 +136,17 @@ struct GroupMember {
 /// Decides L(p) ⊆ L(q_i) for every member against ONE shared
 /// enumeration-side pattern p.  Each member runs the same per-member steps
 /// as `Contains` — the Observation 2.3 strong fast fail and root relabelling
-/// (p relabelled once for the whole group), then the first applicable
-/// fragment-specific P algorithm in Table 1 route order — on its own
-/// context.  The members only the canonical sweep can decide are
-/// partitioned by chain-length bound and each partition runs the one
-/// canonical sweep: each canonical tree of p is built once and evaluated
-/// against every still-undecided member, and a member retires at its first
-/// counterexample or budget trip (the undecided mask).  Shared work (tree
-/// builds, enumeration) of a partition with several members is accounted on
-/// `group_ctx`, which also provides the thread pool for the chunked
-/// parallel sweep; a singleton partition is the solo `CanonicalContainment`
-/// call, on the member's own context.  Results are indexed like `members`.
+/// (p relabelled once for the whole group), then the first applicable route
+/// in Table 1 order — on its own context; the members share only p.  Under
+/// `force_canonical` the members are partitioned by chain-length bound and
+/// each partition runs the one canonical sweep: each canonical tree of p is
+/// built once and evaluated against every still-undecided member, and a
+/// member retires at its first counterexample or budget trip (the undecided
+/// mask).  Shared work (tree builds, enumeration) of a partition with
+/// several members is accounted on `group_ctx`, which also provides the
+/// thread pool for the chunked parallel sweep; a singleton partition is the
+/// solo `CanonicalContainment` call, on the member's own context.  Results
+/// are indexed like `members`.
 std::vector<ContainmentResult> ContainsGroup(
     const Tpq& p, const std::vector<GroupMember>& members, Mode mode,
     LabelPool* pool, EngineContext* group_ctx,

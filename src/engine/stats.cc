@@ -10,6 +10,7 @@ namespace tpc {
 const char* const kDispatchAlgorithmNames[kNumDispatchAlgorithms] = {
     "homomorphism",         "minimal_canonical", "single_canonical",
     "path_in_tpq",          "child_free_in_tpq", "canonical_enumeration",
+    "type_set",
 };
 
 void EngineStats::Reset() {
@@ -21,6 +22,8 @@ void EngineStats::Reset() {
   dp_words_folded.store(0, std::memory_order_relaxed);
   dp_rows_skipped.store(0, std::memory_order_relaxed);
   homomorphism_checks.store(0, std::memory_order_relaxed);
+  type_set_states.store(0, std::memory_order_relaxed);
+  type_set_unions.store(0, std::memory_order_relaxed);
   schema_configurations.store(0, std::memory_order_relaxed);
   horizontal_nodes.store(0, std::memory_order_relaxed);
   det_states_materialized.store(0, std::memory_order_relaxed);
@@ -61,6 +64,8 @@ void EngineStats::MergeFrom(const EngineStats& other) {
   add(dp_words_folded, other.dp_words_folded);
   add(dp_rows_skipped, other.dp_rows_skipped);
   add(homomorphism_checks, other.homomorphism_checks);
+  add(type_set_states, other.type_set_states);
+  add(type_set_unions, other.type_set_unions);
   add(schema_configurations, other.schema_configurations);
   add(horizontal_nodes, other.horizontal_nodes);
   add(det_states_materialized, other.det_states_materialized);
@@ -139,6 +144,8 @@ std::string EngineStats::ToJson(const Budget& budget) const {
           {"schema_configurations", v(schema_configurations)},
           {"state_sets_interned", v(state_sets_interned)},
           {"trees_rebuilt_from_spine", v(trees_rebuilt_from_spine)},
+          {"type_set_states", v(type_set_states)},
+          {"type_set_unions", v(type_set_unions)},
           {"unions_memoized", v(unions_memoized)},
       },
       &out);

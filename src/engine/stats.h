@@ -21,7 +21,7 @@ namespace tpc {
 /// Number of dispatcher algorithms, mirroring `ContainmentAlgorithm` in
 /// contain/containment.h (engine/ sits below contain/ and cannot name the
 /// enum; containment.cc static_asserts the two stay in sync).
-inline constexpr int kNumDispatchAlgorithms = 6;
+inline constexpr int kNumDispatchAlgorithms = 7;
 
 /// JSON key for each dispatcher algorithm, indexed like the enum.
 extern const char* const kDispatchAlgorithmNames[kNumDispatchAlgorithms];
@@ -45,6 +45,11 @@ struct EngineStats {
   /// missing-bits scatter (word-parallel fill only).
   std::atomic<int64_t> dp_rows_skipped{0};
   std::atomic<int64_t> homomorphism_checks{0};
+  /// Type-set route (contain/type_set.h): states the fold materialized
+  /// (node transitions and ⊥-wraps) and child-edge union pairs it formed.
+  /// Added once per decision.
+  std::atomic<int64_t> type_set_states{0};
+  std::atomic<int64_t> type_set_unions{0};
 
   // Schema-aware engine (src/schema) and automata substrate (src/automata).
   std::atomic<int64_t> schema_configurations{0};

@@ -28,7 +28,9 @@ QueryService::QueryService(LabelPool* pool, EngineContext* ctx,
     : pool_(pool),
       ctx_(ctx),
       options_(options),
-      cache_(options.cache_shards, options.cache_bytes, &ctx->budget(),
+      // `cache_bytes` is split: half here, a quarter each for the minimize
+      // memo and the probe book.
+      cache_(options.cache_shards, options.cache_bytes / 2, &ctx->budget(),
              &VerdictEntryCost),
       programs_(options.cache_shards, options.program_cache_bytes,
                 kProgramHotThreshold, &ctx->budget()) {
@@ -83,8 +85,8 @@ void QueryService::MemoInsertLocked(
     uint64_t memo_key, std::shared_ptr<const MinimizedEntry> entry) {
   const int64_t bytes = 96 + static_cast<int64_t>(entry->pattern.size()) * 32;
   // One entry per distinct raw pattern: a stream that never repeats would
-  // grow the memo without end, so flush it whole at the cache's bound.
-  if (memo_tracked_.charged() + bytes > options_.cache_bytes) {
+  // grow the memo without end, so flush it whole at its share of the bound.
+  if (memo_tracked_.charged() + bytes > options_.cache_bytes / 4) {
     minimize_memo_.clear();
     memo_tracked_.ReleaseAll();
   }
@@ -108,9 +110,9 @@ void QueryService::RecordProbe(const ProbeKey& key,
   const int64_t bytes =
       48 + static_cast<int64_t>(lengths.size()) * sizeof(int32_t);
   std::lock_guard<std::mutex> lock(probe_mu_);
-  // One book per distinct refuted q: flushed whole at the cache's bound,
-  // like the minimize memo.
-  if (probe_tracked_.charged() + bytes > options_.cache_bytes) {
+  // One book per distinct refuted q: flushed whole at its share of the
+  // bound, like the minimize memo.
+  if (probe_tracked_.charged() + bytes > options_.cache_bytes / 4) {
     probe_book_.clear();
     probe_tracked_.ReleaseAll();
   }

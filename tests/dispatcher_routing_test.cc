@@ -72,7 +72,7 @@ INSTANTIATE_TEST_SUITE_P(
         // and surviving child edges on the right — the coNP cell
         // (Theorem 3.3).
         RoutingCase{"General", "a[b][//c]", "a[*/b][//c]",
-                    ContainmentAlgorithm::kCanonicalEnumeration}),
+                    ContainmentAlgorithm::kTypeSet}),
     [](const ::testing::TestParamInfo<RoutingCase>& info) {
       return info.param.name;
     });
@@ -86,6 +86,21 @@ TEST(DispatcherRoutingTest, ForceCanonicalOverridesRouting) {
   ContainmentResult r = Contains(p, q, Mode::kWeak, &pool, options);
   EXPECT_EQ(r.algorithm, ContainmentAlgorithm::kCanonicalEnumeration);
   EXPECT_TRUE(r.contained);
+}
+
+TEST(DispatcherRoutingTest, ForceCanonicalKeepsTheSweepInTheGeneralCell) {
+  LabelPool pool;
+  Tpq p = MustParseTpq("a[b][//c]", &pool);
+  Tpq q = MustParseTpq("a[*/b][//c]", &pool);
+  ContainmentOptions options;
+  options.force_canonical = true;
+  for (Mode mode : {Mode::kWeak, Mode::kStrong}) {
+    ContainmentResult swept = Contains(p, q, mode, &pool, options);
+    ContainmentResult typed = Contains(p, q, mode, &pool);
+    EXPECT_EQ(swept.algorithm, ContainmentAlgorithm::kCanonicalEnumeration);
+    EXPECT_EQ(typed.algorithm, ContainmentAlgorithm::kTypeSet);
+    EXPECT_EQ(swept.contained, typed.contained);
+  }
 }
 
 TEST(DispatcherRoutingTest, DispatchCountersTrackRouting) {

@@ -118,7 +118,8 @@ TEST(EngineContextTest, DeadlineStopsAdversarialSweep) {
   // BuildConpFamily(12) has 12 descendant edges: the aggressive sweep must
   // visit 5^12 canonical models to certify containment — far beyond a 50ms
   // budget.  The engine must return kResourceExhausted instead of hanging,
-  // with the stats showing the partial sweep.
+  // with the stats showing the partial sweep.  (The dispatcher's type set
+  // decides this family in linear time, so the sweep is forced.)
   LabelPool pool;
   ConpFamilyInstance inst = BuildConpFamily(12, &pool);
   EngineConfig config;
@@ -126,6 +127,7 @@ TEST(EngineContextTest, DeadlineStopsAdversarialSweep) {
   EngineContext ctx(config);
   ContainmentOptions aggressive;
   aggressive.bound = ContainmentOptions::Bound::kAggressive;
+  aggressive.force_canonical = true;
   ContainmentResult r =
       Contains(inst.p, inst.q_yes, Mode::kWeak, &pool, &ctx, aggressive);
   EXPECT_EQ(r.outcome, Outcome::kResourceExhausted);
@@ -142,6 +144,7 @@ TEST(EngineContextTest, StepLimitStopsSweep) {
   EngineContext ctx(config);
   ContainmentOptions aggressive;
   aggressive.bound = ContainmentOptions::Bound::kAggressive;
+  aggressive.force_canonical = true;
   ContainmentResult r =
       Contains(inst.p, inst.q_yes, Mode::kWeak, &pool, &ctx, aggressive);
   EXPECT_EQ(r.outcome, Outcome::kResourceExhausted);
@@ -158,6 +161,7 @@ TEST(EngineContextTest, ResetBudgetAllowsReuse) {
   EngineContext ctx(config);
   ContainmentOptions aggressive;
   aggressive.bound = ContainmentOptions::Bound::kAggressive;
+  aggressive.force_canonical = true;
   // Exhaust the allowance on the adversarial instance...
   ContainmentResult r1 =
       Contains(inst.p, inst.q_yes, Mode::kWeak, &pool, &ctx, aggressive);

@@ -12,14 +12,19 @@
 //     answer.
 //
 // Routes covered: canonical sweep (sequential, parallel, and parallel with
-// every tree a chunk's first, full build),
+// every tree a chunk's first, full build), the type set (contained, and
+// refuted by the fold past the minimal-canonical probe; plus each of the
+// step, deadline, memory and cancel trips through the query service, whose
+// cache must never keep the tripped attempt),
 // schema engine (antichain on/off), the Theorem 6.4 coNP route, graph
 // matching and graph-DTD satisfaction.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <functional>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "base/label.h"
@@ -30,8 +35,10 @@
 #include "graphdb/graph_dtd.h"
 #include "graphdb/graph_match.h"
 #include "pattern/tpq_parser.h"
+#include "reductions/hardness_families.h"
 #include "schema/nta_satisfiability.h"
 #include "schema/schema_engine.h"
+#include "service/query_service.h"
 
 namespace tpc {
 namespace {
@@ -47,13 +54,17 @@ struct Route {
   std::function<RouteOutcome(EngineContext*)> run;
 };
 
-RouteOutcome RunContain(EngineContext* ctx, const char* ps, const char* qs) {
+RouteOutcome RunContain(EngineContext* ctx, const char* ps, const char* qs,
+                        bool force_canonical = true) {
   LabelPool pool;
   Tpq p = MustParseTpq(ps, &pool);
   Tpq q = MustParseTpq(qs, &pool);
   ContainmentOptions options;
-  options.force_canonical = true;
+  options.force_canonical = force_canonical;
   ContainmentResult r = Contains(p, q, Mode::kWeak, &pool, ctx, options);
+  EXPECT_EQ(r.algorithm, force_canonical
+                             ? ContainmentAlgorithm::kCanonicalEnumeration
+                             : ContainmentAlgorithm::kTypeSet);
   return {r.outcome == Outcome::kDecided, r.contained, r.reason};
 }
 
@@ -113,6 +124,16 @@ std::vector<Route> AllRoutes() {
       {"sweep-incremental",
        [](EngineContext* ctx) {
          return RunContain(ctx, "a//b//c", "a//c//b");
+       }},
+      {"type-set",
+       [](EngineContext* ctx) {
+         return RunContain(ctx, "r[u/a//b/c][u/d//e/c]", "*/*/*/*/c",
+                           /*force_canonical=*/false);
+       }},
+      {"type-set-refuted",
+       [](EngineContext* ctx) {
+         return RunContain(ctx, "r[a//b][a/*]", "r/*/b",
+                           /*force_canonical=*/false);
        }},
       {"schema-antichain",
        [](EngineContext* ctx) { return RunSchema(ctx, /*antichain=*/true); }},
@@ -323,6 +344,105 @@ TEST(FaultMatrixTest, FaultsOnChunkFirstFullBuilds) {
     RouteOutcome again = run(&ctx);
     ASSERT_TRUE(again.decided);
     EXPECT_EQ(again.answer, probe.answer);
+  }
+}
+
+// Each resource trip inside the type set — steps, deadline, tracked memory,
+// cancellation — reports kResourceExhausted with its own reason, and the
+// query service never caches the tripped attempt: the same pair re-decided
+// on the same service with a healthy context is a cache miss with the right
+// verdict.  The step, memory and cancel trips are placed on the fold's last
+// charge or allocation (counted by an unfaulted run); the deadline expires
+// before the decision starts and trips at the budget's next clock check.
+TEST(FaultMatrixTest, TypeSetTripsReportTheirReasonAndAreNeverCached) {
+  LabelPool pool;
+  const ConpFamilyInstance inst = BuildConpFamily(4, &pool);
+  auto dispatched = [](EngineContext* ctx) {
+    return ctx->stats()
+        .dispatch[static_cast<int>(ContainmentAlgorithm::kTypeSet)]
+        .load(std::memory_order_relaxed);
+  };
+  Probe probe;
+  int64_t steps = 0;
+  int64_t fold_steps = 0;
+  {
+    EngineConfig config;
+    config.fault_plan.exhaust_at_charge = std::numeric_limits<int64_t>::max();
+    EngineContext service_ctx;
+    QueryService service(&pool, &service_ctx);
+    EngineContext ctx(config);
+    ContainmentResult r =
+        service.ContainsFor(inst.p, inst.q_yes, Mode::kWeak, &ctx);
+    ASSERT_EQ(r.outcome, Outcome::kDecided);
+    ASSERT_TRUE(r.contained);
+    ASSERT_EQ(dispatched(&ctx), 1) << "the pair must reach the type set";
+    probe.charges = ctx.fault_injector()->charges_seen();
+    probe.allocs = ctx.fault_injector()->allocs_seen();
+    steps = ctx.budget().steps_used();
+    fold_steps = ctx.stats().type_set_states.load() +
+                 ctx.stats().type_set_unions.load();
+    ASSERT_GT(fold_steps, 2);
+  }
+  struct Trip {
+    const char* name;
+    EngineConfig config;
+    ExhaustionReason reason;
+  };
+  std::vector<Trip> trips(4);
+  trips[0] = {"steps", {}, ExhaustionReason::kSteps};
+  trips[0].config.step_limit = steps - fold_steps / 2;
+  trips[1] = {"deadline", {}, ExhaustionReason::kDeadline};
+  trips[1].config.deadline_ms = 1;
+  trips[2] = {"memory", {}, ExhaustionReason::kMemory};
+  trips[2].config.fault_plan.fail_alloc_at = probe.allocs;
+  trips[3] = {"cancel", {}, ExhaustionReason::kCancelled};
+  trips[3].config.fault_plan.cancel_at_charge = probe.charges;
+  for (const Trip& trip : trips) {
+    EngineContext service_ctx;
+    QueryService service(&pool, &service_ctx);
+    EngineContext ctx(trip.config);
+    if (trip.reason == ExhaustionReason::kDeadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ContainmentResult r =
+        service.ContainsFor(inst.p, inst.q_yes, Mode::kWeak, &ctx);
+    ASSERT_EQ(r.outcome, Outcome::kResourceExhausted) << trip.name;
+    EXPECT_EQ(r.reason, trip.reason) << trip.name;
+    if (trip.reason != ExhaustionReason::kDeadline) {
+      EXPECT_EQ(dispatched(&ctx), 1) << trip.name << " tripped before the fold";
+    }
+
+    EngineContext healthy;
+    ContainmentResult again =
+        service.ContainsFor(inst.p, inst.q_yes, Mode::kWeak, &healthy);
+    ASSERT_EQ(again.outcome, Outcome::kDecided) << trip.name;
+    EXPECT_TRUE(again.contained) << trip.name;
+    EXPECT_EQ(healthy.stats().cache_hits.load(), 0)
+        << trip.name << ": the tripped attempt was cached";
+    EXPECT_EQ(dispatched(&healthy), 1) << trip.name;
+  }
+  // The dispatcher alone, on a family member large enough (over 256 steps)
+  // for the deadline's clock check to fire inside the route.
+  const ConpFamilyInstance big = BuildConpFamily(8, &pool);
+  EngineContext unfaulted;
+  ASSERT_TRUE(
+      Contains(big.p, big.q_yes, Mode::kWeak, &pool, &unfaulted).contained);
+  const int64_t big_fold = unfaulted.stats().type_set_states.load() +
+                           unfaulted.stats().type_set_unions.load();
+  ASSERT_GT(unfaulted.budget().steps_used(), 256);
+  for (const Trip& trip : {trips[0], trips[1]}) {
+    EngineConfig config = trip.config;
+    if (trip.reason == ExhaustionReason::kSteps) {
+      config.step_limit = unfaulted.budget().steps_used() - big_fold / 2;
+    }
+    EngineContext ctx(config);
+    if (trip.reason == ExhaustionReason::kDeadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ContainmentResult r = Contains(big.p, big.q_yes, Mode::kWeak, &pool, &ctx);
+    EXPECT_EQ(r.algorithm, ContainmentAlgorithm::kTypeSet) << trip.name;
+    ASSERT_EQ(r.outcome, Outcome::kResourceExhausted) << trip.name;
+    EXPECT_EQ(r.reason, trip.reason) << trip.name;
   }
 }
 

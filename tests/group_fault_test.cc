@@ -1,5 +1,8 @@
-// Fault isolation for the grouped canonical sweep: a member whose budget
-// exhausts, cancels, or fails a tracked allocation mid-sweep retires ALONE.
+// Fault isolation for grouped decisions — the default route, whose
+// general-cell members each run the type set on their own context, and the
+// grouped canonical sweep (`force_canonical`): a member whose budget
+// exhausts, cancels, or fails a tracked allocation mid-decision retires
+// ALONE.
 // Its groupmates must still decide with the reference verdicts, the
 // faulted member must either decide correctly anyway (e.g. an allocation
 // failure mid-compile falls back to the generic DP) or report the injected
@@ -84,7 +87,8 @@ struct ChargeSpace {
 };
 
 ChargeSpace ProbeVictim(const GroupInstance& inst, size_t victim,
-                        LabelPool* pool, const EngineConfig& group_config) {
+                        LabelPool* pool, const EngineConfig& group_config,
+                        const ContainmentOptions& options) {
   EngineConfig probe_config;
   probe_config.fault_plan.exhaust_at_charge = INT64_MAX;
   std::vector<std::unique_ptr<EngineContext>> ctxs;
@@ -96,7 +100,7 @@ ChargeSpace ProbeVictim(const GroupInstance& inst, size_t victim,
   }
   EngineContext group_ctx(group_config);
   std::vector<ContainmentResult> results =
-      ContainsGroup(inst.p, members, Mode::kWeak, pool, &group_ctx);
+      ContainsGroup(inst.p, members, Mode::kWeak, pool, &group_ctx, options);
   for (size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].outcome, Outcome::kDecided);
     EXPECT_EQ(results[i].contained, inst.reference[i]);
@@ -166,7 +170,8 @@ EngineConfig VictimConfig(FaultKind kind, int64_t point) {
 /// carries the injected reason; the victim's reset context recovers.
 void CheckFaultedGroup(const GroupInstance& inst, size_t victim,
                        FaultKind kind, int64_t point, LabelPool* pool,
-                       const EngineConfig& group_config) {
+                       const EngineConfig& group_config,
+                       const ContainmentOptions& options) {
   std::vector<std::unique_ptr<EngineContext>> ctxs;
   std::vector<GroupMember> members;
   for (size_t i = 0; i < inst.qs.size(); ++i) {
@@ -178,7 +183,7 @@ void CheckFaultedGroup(const GroupInstance& inst, size_t victim,
   }
   EngineContext group_ctx(group_config);
   std::vector<ContainmentResult> results =
-      ContainsGroup(inst.p, members, Mode::kWeak, pool, &group_ctx);
+      ContainsGroup(inst.p, members, Mode::kWeak, pool, &group_ctx, options);
 
   for (size_t i = 0; i < results.size(); ++i) {
     if (i == victim) continue;
@@ -203,7 +208,7 @@ void CheckFaultedGroup(const GroupInstance& inst, size_t victim,
   if (vr.outcome == Outcome::kDecided) return;
   ctxs[victim]->ResetBudget();
   ContainmentResult again = Contains(inst.p, inst.qs[victim], Mode::kWeak,
-                                     pool, ctxs[victim].get());
+                                     pool, ctxs[victim].get(), options);
   ASSERT_EQ(again.outcome, Outcome::kDecided) << FaultKindName(kind) << " point " << point;
   EXPECT_EQ(again.contained, inst.reference[victim]) << FaultKindName(kind) << " point " << point;
 }
@@ -212,29 +217,35 @@ TEST(GroupFaultTest, SequentialGroupIsolatesMemberFaults) {
   LabelPool pool;
   GroupInstance inst = MakeGroupInstance(&pool);
   const EngineConfig group_config;  // sequential grouped sweep
-  // Victim 1 (pattern B): a full-sweep member, so every fault kind can
-  // land mid-enumeration while groupmates are still live.
-  const size_t victim = 1;
-  ChargeSpace space = ProbeVictim(inst, victim, &pool, group_config);
-  ASSERT_GT(space.charges, 0);
-  ASSERT_GT(space.allocs, 0);
+  for (bool force_canonical : {false, true}) {
+    ContainmentOptions options;
+    options.force_canonical = force_canonical;
+    // Victim 1 (pattern B): a contained member, so every fault kind can
+    // land mid-decision (mid-enumeration on the sweep) while groupmates
+    // are still live.
+    const size_t victim = 1;
+    ChargeSpace space =
+        ProbeVictim(inst, victim, &pool, group_config, options);
+    ASSERT_GT(space.charges, 0);
+    ASSERT_GT(space.allocs, 0);
 
-  for (int64_t point : FaultPoints(space.charges, 10, 8, 0xA11CE)) {
-    CheckFaultedGroup(inst, victim, FaultKind::kExhaust, point, &pool,
-                      group_config);
-    CheckFaultedGroup(inst, victim, FaultKind::kCancel, point, &pool,
-                      group_config);
-  }
-  for (int64_t point : FaultPoints(space.allocs, 6, 6, 0xB0B)) {
-    CheckFaultedGroup(inst, victim, FaultKind::kAlloc, point, &pool,
-                      group_config);
-  }
-  // The refuted member as victim: it leaves the sweep at the first model,
-  // so faults race its own retirement — groupmates must not notice either
-  // way.
-  for (int64_t point : {int64_t{1}, int64_t{2}, int64_t{3}}) {
-    CheckFaultedGroup(inst, 3, FaultKind::kExhaust, point, &pool,
-                      group_config);
+    for (int64_t point : FaultPoints(space.charges, 10, 8, 0xA11CE)) {
+      CheckFaultedGroup(inst, victim, FaultKind::kExhaust, point, &pool,
+                        group_config, options);
+      CheckFaultedGroup(inst, victim, FaultKind::kCancel, point, &pool,
+                        group_config, options);
+    }
+    for (int64_t point : FaultPoints(space.allocs, 6, 6, 0xB0B)) {
+      CheckFaultedGroup(inst, victim, FaultKind::kAlloc, point, &pool,
+                        group_config, options);
+    }
+    // The refuted member as victim: it is refuted by the first model, so
+    // faults race its own retirement — groupmates must not notice either
+    // way.
+    for (int64_t point : {int64_t{1}, int64_t{2}, int64_t{3}}) {
+      CheckFaultedGroup(inst, 3, FaultKind::kExhaust, point, &pool,
+                        group_config, options);
+    }
   }
 }
 
@@ -245,19 +256,21 @@ TEST(GroupFaultTest, ParallelGroupIsolatesMemberFaults) {
   group_config.threads = 2;
   group_config.parallel_threshold = 2;  // engage chunking on small spaces
   group_config.parallel_chunk = 4;
+  ContainmentOptions sweep;  // only the shared sweep runs chunks
+  sweep.force_canonical = true;
   const size_t victim = 1;
-  ChargeSpace space = ProbeVictim(inst, victim, &pool, group_config);
+  ChargeSpace space = ProbeVictim(inst, victim, &pool, group_config, sweep);
   ASSERT_GT(space.charges, 0);
 
   for (int64_t point : FaultPoints(space.charges, 4, 6, 0xCAFE)) {
     CheckFaultedGroup(inst, victim, FaultKind::kExhaust, point, &pool,
-                      group_config);
+                      group_config, sweep);
     CheckFaultedGroup(inst, victim, FaultKind::kCancel, point, &pool,
-                      group_config);
+                      group_config, sweep);
   }
   for (int64_t point : FaultPoints(space.allocs, 3, 4, 0xD00D)) {
     CheckFaultedGroup(inst, victim, FaultKind::kAlloc, point, &pool,
-                      group_config);
+                      group_config, sweep);
   }
 }
 

@@ -240,7 +240,8 @@ TEST(QueryServiceTest, TinyByteBoundForcesEvictions) {
   EngineContext ctx;
   ServiceOptions options;
   options.cache_shards = 1;
-  options.cache_bytes = 256;  // roughly one entry per shard
+  // The verdict cache's half (256 bytes) holds one entry, not two.
+  options.cache_bytes = 512;
   options.use_prefilters = false;
   QueryService service(&pool, &ctx, options);
   const LabelId a = pool.Intern("a");
@@ -306,8 +307,9 @@ TEST(QueryServiceTest, MemoAndProbeBookStayUnderTheCacheBound) {
   }
   EXPECT_GT(refuted, 100);
   // Unbounded, the memo alone would hold 800 distinct raw patterns at
-  // 96 + 32 bytes per node; each layer keeps to its own bound instead.
-  EXPECT_LE(peak, 3 * options.cache_bytes + options.lattice_bytes +
+  // 96 + 32 bytes per node; the verdict cache, memo and probe book share
+  // one bound instead.
+  EXPECT_LE(peak, options.cache_bytes + options.lattice_bytes +
                       options.program_cache_bytes);
 }
 

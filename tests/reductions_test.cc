@@ -164,7 +164,13 @@ TEST_F(ReductionsTest, ConpFamilyAnswers) {
     ConpFamilyInstance inst = BuildConpFamily(n, &pool);
     ContainmentResult yes = Contains(inst.p, inst.q_yes, Mode::kWeak, &pool);
     EXPECT_TRUE(yes.contained) << n;
-    EXPECT_EQ(yes.algorithm, ContainmentAlgorithm::kCanonicalEnumeration);
+    EXPECT_EQ(yes.algorithm, ContainmentAlgorithm::kTypeSet);
+    ContainmentOptions sweep;
+    sweep.force_canonical = true;
+    ContainmentResult swept =
+        Contains(inst.p, inst.q_yes, Mode::kWeak, &pool, sweep);
+    EXPECT_TRUE(swept.contained) << n;
+    EXPECT_EQ(swept.algorithm, ContainmentAlgorithm::kCanonicalEnumeration);
     ContainmentResult no = Contains(inst.p, inst.q_no, Mode::kWeak, &pool);
     EXPECT_FALSE(no.contained) << n;
     ASSERT_TRUE(no.counterexample.has_value());

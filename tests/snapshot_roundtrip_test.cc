@@ -3,7 +3,10 @@
 // (the zero-copy `TreeView` over the mapped columns reproduces every
 // traversal of the original), and damaged inputs — flipped bytes, truncated
 // tails, version skew, foreign endianness tags — must be rejected with a
-// diagnostic, never undefined behaviour or a silently wrong tree.
+// diagnostic, never undefined behaviour or a silently wrong tree.  Verdict
+// records carry their dispatcher route as a tag: every route's tag (up to
+// the type set's) survives a service save → load, and tags past the last
+// route are skipped on load.
 
 #include <gtest/gtest.h>
 
@@ -17,10 +20,14 @@
 #include <vector>
 
 #include "base/label.h"
+#include "contain/containment.h"
+#include "engine/engine.h"
 #include "gen/random_instances.h"
 #include "pattern/tpq.h"
 #include "pattern/tpq_hash.h"
 #include "persist/snapshot.h"
+#include "reductions/hardness_families.h"
+#include "service/query_service.h"
 #include "tree/tree.h"
 
 namespace tpc {
@@ -276,6 +283,63 @@ TEST(SnapshotRoundTripTest, BudgetRefusalIsACleanFailure) {
   EXPECT_FALSE(reader.Open(path, &budget, &error));
   EXPECT_NE(error.find("budget"), std::string::npos) << error;
   EXPECT_FALSE(reader.is_open());
+  std::remove(path.c_str());
+}
+
+// A type-set verdict (tag 6, the last route) round-trips through a service
+// snapshot and answers warm with its route intact; a hand-written record
+// for the same pair tagged kNumDispatchAlgorithms is skipped on load, so the
+// pair is decided live.
+TEST(SnapshotRoundTripTest, TypeSetTagRoundTripsAndUnknownTagsAreSkipped) {
+  ASSERT_EQ(static_cast<int>(ContainmentAlgorithm::kTypeSet), 6);
+  ASSERT_EQ(kNumDispatchAlgorithms, 7);
+  LabelPool pool;
+  const ConpFamilyInstance inst = BuildConpFamily(3, &pool);
+  const std::string path = TempPath("type_set");
+  std::string error;
+  {
+    EngineContext ctx;
+    QueryService service(&pool, &ctx);
+    ContainmentResult r = service.Contains(inst.p, inst.q_yes, Mode::kWeak);
+    ASSERT_EQ(r.outcome, Outcome::kDecided);
+    ASSERT_TRUE(r.contained);
+    ASSERT_EQ(r.algorithm, ContainmentAlgorithm::kTypeSet);
+    ASSERT_TRUE(service.SaveSnapshot(path, &error)) << error;
+  }
+  {
+    EngineContext ctx;
+    QueryService service(&pool, &ctx);
+    ASSERT_TRUE(service.LoadSnapshot(path, &error)) << error;
+    ContainmentResult r = service.Contains(inst.p, inst.q_yes, Mode::kWeak);
+    EXPECT_EQ(ctx.stats().cache_hits.load(), 1);
+    EXPECT_TRUE(r.contained);
+    EXPECT_EQ(r.algorithm, ContainmentAlgorithm::kTypeSet);
+  }
+  for (int tag : {6, kNumDispatchAlgorithms, 255}) {
+    SnapshotWriter writer;
+    ASSERT_TRUE(writer.SetLabels(pool));
+    std::optional<uint32_t> pi =
+        writer.AddPattern(inst.p, CanonicalTpqDigest(inst.p));
+    std::optional<uint32_t> qi =
+        writer.AddPattern(inst.q_yes, CanonicalTpqDigest(inst.q_yes));
+    ASSERT_TRUE(pi.has_value() && qi.has_value());
+    SnapshotVerdict v;
+    v.p_index = *pi;
+    v.q_index = *qi;
+    v.contained = true;
+    v.algorithm_tag = static_cast<uint8_t>(tag);
+    ASSERT_TRUE(writer.AddVerdict(v));
+    ASSERT_TRUE(writer.WriteTo(path, &error)) << error;
+
+    EngineContext ctx;
+    QueryService service(&pool, &ctx);
+    ASSERT_TRUE(service.LoadSnapshot(path, &error)) << error;
+    ContainmentResult r = service.Contains(inst.p, inst.q_yes, Mode::kWeak);
+    EXPECT_TRUE(r.contained) << "tag " << tag;
+    EXPECT_EQ(r.algorithm, ContainmentAlgorithm::kTypeSet) << "tag " << tag;
+    EXPECT_EQ(ctx.stats().cache_hits.load(), tag == 6 ? 1 : 0)
+        << "tag " << tag;
+  }
   std::remove(path.c_str());
 }
 
