@@ -26,7 +26,7 @@
 //                       service A/B switches (as in tpc_cli --batch)
 //   --group-window <n>  coalesce up to n same-tenant requests sharing the
 //                       head's (pattern p, mode) key into one grouped
-//                       canonical sweep at dequeue (default 4; 1 disables)
+//                       decision at dequeue (default 4; 1 disables)
 //   --fault-exhaust-at / --fault-alloc-at / --fault-cancel-at <n>
 //                       per-worker deterministic fault injection (drills)
 //
@@ -66,7 +66,7 @@ int Usage() {
       "  --snapshot-load <f>    warm-start from a snapshot\n"
       "  --snapshot-save <f>    flush the warm tier on drain\n"
       "  --no-cache | --no-prefilter | --no-lattice\n"
-      "  --group-window <n>     coalescing window for the grouped sweep\n"
+      "  --group-window <n>     coalescing window for grouped decisions\n"
       "                         (default 4; 1 disables)\n"
       "  --fault-exhaust-at <n> | --fault-alloc-at <k> | --fault-cancel-at "
       "<n>\n");

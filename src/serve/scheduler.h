@@ -86,14 +86,13 @@ class FairScheduler {
 
   /// As `Next`, but after dequeueing the DRR head it coalesces up to
   /// `window - 1` more requests from the SAME tenant's FIFO that share the
-  /// head's grouping key (`p_src`, `mode`) — the daemon's feed for the
-  /// grouped canonical sweep (`QueryService::ContainsGroupFor`).  Every
-  /// coalesced request spends one unit of the visit's deficit exactly as a
-  /// `Next` dequeue would, so the DRR starvation bound — and with it the
-  /// aggressor-isolation property — is unchanged: a window never grants a
-  /// tenant more dequeues per visit than its weight already does.  Blocks
-  /// and returns like `Next`; on true `out` holds >= 1 requests.
-  /// `window <= 1` is exactly `Next`.
+  /// head's grouping key (`p_src`, `mode`) — the daemon's feed for
+  /// `QueryService::ContainsGroupFor`.  Every coalesced request spends one
+  /// unit of the visit's deficit exactly as a `Next` dequeue would, so the
+  /// DRR starvation bound — and with it the aggressor-isolation property —
+  /// is unchanged: a window never grants a tenant more dequeues per visit
+  /// than its weight already does.  Blocks and returns like `Next`; on true
+  /// `out` holds >= 1 requests.  `window <= 1` is exactly `Next`.
   bool NextBatch(std::vector<ServeRequest>* out, int window);
 
   /// Drain door: no further Submit succeeds; blocked Next callers wake and
