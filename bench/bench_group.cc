@@ -1,5 +1,5 @@
-// The grouped canonical sweep (src/contain ContainsGroup + the daemon's
-// coalescing window): how much model-enumeration work does batching
+// The grouped canonical sweep (src/contain ContainsGroup under
+// `force_canonical`): how much model-enumeration work does batching
 // same-pattern queries actually save?
 //
 // The acceptance criteria this suite pins:
@@ -17,30 +17,20 @@
 //     canonical model: the undecided-mask sweep retires them immediately
 //     (`retired_early_rate` ~ 0.5) while the survivors still share one
 //     enumeration.
-//   * BM_Serve_GroupWindowFloor — the daemon axis: PTIME round-trips
-//     against a live server with the coalescing window ON (group_window 4).
-//     A window-1 floor is probed inline first; the coalescing window's
-//     sequential-stream round-trip must stay within 3x of it (the window
-//     only batches a backlog — it must cost nothing when there is none).
 //
 // Every decision loop replays expected verdicts; a flipped answer aborts
 // via SkipWithError (a faster sweep that changes verdicts is a bug).
 
 #include <benchmark/benchmark.h>
-#include <unistd.h>
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "base/label.h"
 #include "contain/containment.h"
 #include "engine/engine.h"
 #include "reductions/hardness_families.h"
-#include "serve/client.h"
-#include "serve/server.h"
 #include "service/query_service.h"
 
 namespace tpc {
@@ -329,163 +319,6 @@ void BM_Group_AmortizationFloor(benchmark::State& state) {
   state.SetItemsProcessed(decisions);
 }
 BENCHMARK(BM_Group_AmortizationFloor)->Unit(benchmark::kMillisecond);
-
-// ---------------------------------------------------------------------------
-// Daemon axis: the coalescing window must not tax the wire floor.
-
-using serve::Client;
-using serve::DrainReport;
-using serve::ResponseFrame;
-using serve::Server;
-using serve::ServerOptions;
-using serve::WireStatus;
-
-ServiceOptions SweepOnlyOptions() {
-  ServiceOptions o;
-  o.use_cache = false;
-  o.use_prefilters = false;
-  o.containment.force_canonical = true;
-  return o;
-}
-
-struct LiveServer {
-  LabelPool pool;
-  std::unique_ptr<EngineContext> ctx;
-  std::unique_ptr<QueryService> service;
-  std::unique_ptr<Server> server;
-  std::string sock_path;
-  bool ok = false;
-  std::string error;
-
-  explicit LiveServer(ServerOptions options, const char* tag) {
-    ctx = std::make_unique<EngineContext>();
-    service = std::make_unique<QueryService>(&pool, ctx.get(),
-                                             SweepOnlyOptions());
-    sock_path = std::string("/tmp/tpc_bench_group_") + tag + "_" +
-                std::to_string(getpid()) + ".sock";
-    options.unix_path = sock_path;
-    server = std::make_unique<Server>(service.get(), &pool, options);
-    ok = server->Start(&error);
-  }
-
-  DrainReport Drain() {
-    server->RequestDrain();
-    return server->Wait();
-  }
-};
-
-int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// `count` sequential PTIME round-trips against `sock`; negative on error.
-int64_t RoundTripTotalNs(const std::string& sock, int count,
-                         std::string* error) {
-  Client client;
-  if (!client.ConnectUnix(sock, "ptime", error)) return -1;
-  const int64_t t0 = NowNs();
-  for (int i = 0; i < count; ++i) {
-    ResponseFrame resp;
-    if (!client.SendQuery(static_cast<uint64_t>(i + 1), Mode::kWeak, "a/b",
-                          "a//b", error) ||
-        !client.ReadResponse(&resp, error)) {
-      return -1;
-    }
-    if (resp.status != WireStatus::kOk || !resp.contained) {
-      *error = "wrong verdict on the PTIME pair";
-      return -1;
-    }
-  }
-  const int64_t total = NowNs() - t0;
-  client.Close();
-  return total;
-}
-
-void BM_Serve_GroupWindowFloor(benchmark::State& state) {
-  std::string error;
-  // Inline floor: the identical server with the window disabled.
-  int64_t floor_ns = 0;
-  constexpr int kFloorProbes = 200;
-  {
-    ServerOptions options;
-    options.workers = 1;
-    options.group_window = 1;
-    LiveServer off(options, "floor");
-    if (!off.ok) {
-      state.SkipWithError(off.error.c_str());
-      return;
-    }
-    floor_ns = RoundTripTotalNs(off.sock_path, kFloorProbes, &error);
-    const DrainReport report = off.Drain();
-    if (floor_ns < 0 || report.accepted != report.responded) {
-      state.SkipWithError(error.empty() ? "floor probe failed"
-                                        : error.c_str());
-      return;
-    }
-  }
-
-  ServerOptions options;
-  options.workers = 1;
-  options.group_window = 4;  // the default coalescing window
-  LiveServer live(options, "window");
-  if (!live.ok) {
-    state.SkipWithError(live.error.c_str());
-    return;
-  }
-  Client client;
-  if (!client.ConnectUnix(live.sock_path, "ptime", &error)) {
-    state.SkipWithError(error.c_str());
-    return;
-  }
-  uint64_t id = 0;
-  int64_t timed_ns = 0;
-  int64_t timed_iters = 0;
-  for (auto _ : state) {
-    const int64_t t0 = NowNs();
-    ResponseFrame resp;
-    if (!client.SendQuery(++id, Mode::kWeak, "a/b", "a//b", &error) ||
-        !client.ReadResponse(&resp, &error)) {
-      state.SkipWithError(error.c_str());
-      return;
-    }
-    timed_ns += NowNs() - t0;
-    ++timed_iters;
-    if (resp.status != WireStatus::kOk || !resp.contained) {
-      state.SkipWithError("wrong verdict on the PTIME pair");
-      return;
-    }
-  }
-  client.Close();
-  const DrainReport report = live.Drain();
-  if (report.accepted != report.responded) {
-    state.SkipWithError("dropped a response");
-    return;
-  }
-  if (timed_iters > 0 && floor_ns > 0) {
-    const double window_us =
-        static_cast<double>(timed_ns) / static_cast<double>(timed_iters) / 1e3;
-    const double floor_us =
-        static_cast<double>(floor_ns) / static_cast<double>(kFloorProbes) /
-        1e3;
-    state.counters["window_rt_us"] = window_us;
-    state.counters["floor_rt_us"] = floor_us;
-    // A sequential stream never coalesces, so the window may only add
-    // dequeue bookkeeping.  3x is a generous ceiling that still catches a
-    // window that waits for stragglers instead of serving the head.
-    if (window_us > floor_us * 3.0) {
-      state.SkipWithError(
-          "coalescing window regressed the PTIME wire floor");
-      return;
-    }
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_Serve_GroupWindowFloor)
-    ->Unit(benchmark::kMicrosecond)
-    ->UseRealTime()
-    ->MinTime(0.5);
 
 }  // namespace
 }  // namespace tpc

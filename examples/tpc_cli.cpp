@@ -12,17 +12,14 @@
 // Batch mode decides one containment pair per line of <file> ("<p> <q>
 // [weak|strong]"; blank lines and #-comments skipped) through the query
 // service (src/service): canonical-hash verdict cache, prefilter cascade,
-// duplicate folding, a parallel fan-out under --threads, and one grouped
-// canonical-model sweep per enumeration-side pattern for the pairs no
-// fast-path layer answers.  One verdict is
-// printed per line; the exit status is 0 when every pair was decided
+// duplicate folding and a parallel fan-out under --threads; each pair no
+// fast-path layer answers is decided on its own.  One verdict is printed
+// per line; the exit status is 0 when every pair was decided
 // (regardless of verdicts), 3 when any was undecided.
 //
 // Flags (anywhere on the command line):
 //   --stats          print the engine's instrumentation counters as JSON
-//                    (includes steps/bytes used and the exhaustion reason);
-//                    a batch run first prints one coalescing summary line
-//                    (groups formed, mean size, early-retire rate)
+//                    (includes steps/bytes used and the exhaustion reason)
 //   --batch <file>   decide many pairs through the query service
 //   --no-cache       batch A/B: disable minimize+hash+verdict-cache layer
 //   --no-prefilter   batch A/B: disable homomorphism/probe prefilters
@@ -326,22 +323,6 @@ int main(int argc, char** argv) {
         std::printf("%d: %s\n", item_line[i],
                     r.contained ? "contained" : "NOT contained");
       }
-    }
-    if (print_stats) {
-      // Coalescing summary for the grouped canonical sweep (one line; the
-      // full counter JSON from Finish carries the raw values too).
-      const EngineStats& s = ctx.stats();
-      const long long groups =
-          s.sweep_groups_formed.load(std::memory_order_relaxed);
-      const long long members =
-          s.sweep_group_members.load(std::memory_order_relaxed);
-      const long long retired =
-          s.group_members_retired_early.load(std::memory_order_relaxed);
-      std::printf("group sweep: %lld groups, mean size %.2f, "
-                  "early-retire rate %.2f\n",
-                  groups,
-                  groups > 0 ? static_cast<double>(members) / groups : 0.0,
-                  members > 0 ? static_cast<double>(retired) / members : 0.0);
     }
     // Exit status reports decidability, not verdicts — a batch mixes both
     // answers, so per-line output carries them.

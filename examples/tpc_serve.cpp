@@ -1,8 +1,9 @@
 // The containment daemon: serves the query service (verdict cache,
 // prefilters, compiled programs, subsumption lattice, snapshots) over a
 // Unix-domain or loopback TCP socket with multi-tenant admission control,
-// fair-share scheduling and graceful drain.  Protocol: src/serve/protocol.h;
-// architecture and invariants: DESIGN.md "Containment daemon".
+// fair-share scheduling (each request dequeued and decided on its own) and
+// graceful drain.  Protocol: src/serve/protocol.h; architecture and
+// invariants: DESIGN.md "Containment daemon".
 //
 // Usage:
 //   tpc_serve --unix /tmp/tpc.sock [flags]
@@ -24,9 +25,6 @@
 //   --snapshot-save <f> flush the warm tier after the drain completes
 //   --no-cache / --no-prefilter / --no-lattice
 //                       service A/B switches (as in tpc_cli --batch)
-//   --group-window <n>  coalesce up to n same-tenant requests sharing the
-//                       head's (pattern p, mode) key into one grouped
-//                       decision at dequeue (default 4; 1 disables)
 //   --fault-exhaust-at / --fault-alloc-at / --fault-cancel-at <n>
 //                       per-worker deterministic fault injection (drills)
 //
@@ -66,8 +64,6 @@ int Usage() {
       "  --snapshot-load <f>    warm-start from a snapshot\n"
       "  --snapshot-save <f>    flush the warm tier on drain\n"
       "  --no-cache | --no-prefilter | --no-lattice\n"
-      "  --group-window <n>     coalescing window for grouped decisions\n"
-      "                         (default 4; 1 disables)\n"
       "  --fault-exhaust-at <n> | --fault-alloc-at <k> | --fault-cancel-at "
       "<n>\n");
   return 2;
@@ -168,9 +164,6 @@ int main(int argc, char** argv) {
       service_options.use_prefilters = false;
     } else if (std::strcmp(argv[i], "--no-lattice") == 0) {
       service_options.use_lattice = false;
-    } else if (std::strcmp(argv[i], "--group-window") == 0) {
-      options.group_window = static_cast<int>(
-          ParseCountOrDie("--group-window", next("--group-window")));
     } else if (std::strcmp(argv[i], "--fault-exhaust-at") == 0) {
       options.worker_config.fault_plan.exhaust_at_charge =
           ParseCountOrDie("--fault-exhaust-at", next("--fault-exhaust-at"));

@@ -28,9 +28,8 @@
 #   * bench_group (the grouped canonical sweep: one `ContainsGroup` call vs
 #     a loop of independent `Contains` calls, rebuilds-per-decision across
 #     group sizes — the in-bench amortization floor skips-with-error unless
-#     the group-of-8 reduction is >= 5x — the mixed early-retire family, and
-#     the daemon coalescing-window round-trip floor) into BENCH_group.json,
-#     and
+#     the group-of-8 reduction is >= 5x — and the mixed early-retire
+#     family) into BENCH_group.json, and
 #   * bench_serve (the daemon under adversarial multi-tenancy: the PTIME
 #     wire floor solo vs with a coNP aggressor window — the in-bench
 #     isolation assert skips-with-error if the light tenant's p95 degrades

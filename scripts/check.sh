@@ -51,9 +51,10 @@
 #                                    the member fault matrix, the solo sweep
 #                                    suites (incremental vs the reference,
 #                                    dispatcher routing, compiled agreement)
-#                                    and the service batch suites (every
-#                                    deferred pair goes through
-#                                    ContainsGroup) under asan AND tsan
+#                                    and the service batch suites (dedup
+#                                    and a parallel fan-out that decides
+#                                    each unique pair on its own) under
+#                                    asan AND tsan
 #                                    (every parallel sweep, solo or grouped,
 #                                    shares one undecided mask across worker
 #                                    threads, and a faulted member's unwind

@@ -215,12 +215,19 @@ void CanonicalSweep(const Tpq& p, const std::vector<SweepMember>& members,
       total.has_value() &&
       *total >= static_cast<uint64_t>(group_ctx->config().parallel_threshold) &&
       *total <= max_parallel_total) {
+    // One claimer per pool thread, each taking chunks from a shared cursor
+    // only while a member is live: once every member has retired, no
+    // further chunk is claimed, so no builder or bank is built for it.
     const uint64_t num_chunks = (*total + chunk - 1) / chunk;
-    group_ctx->pool().ParallelFor(
-        static_cast<int64_t>(num_chunks), [&](int64_t chunk_index) {
-          const uint64_t begin = static_cast<uint64_t>(chunk_index) * chunk;
-          sweep_chunk(begin, std::min(begin + chunk, *total));
-        });
+    std::atomic<uint64_t> next_chunk{0};
+    group_ctx->pool().ParallelFor(group_ctx->threads(), [&](int64_t) {
+      while (live.load(std::memory_order_relaxed) > 0) {
+        const uint64_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
+        if (c >= num_chunks) return;
+        const uint64_t begin = c * chunk;
+        sweep_chunk(begin, std::min(begin + chunk, *total));
+      }
+    });
   } else {
     sweep_chunk(0, std::numeric_limits<uint64_t>::max());
   }

@@ -95,8 +95,7 @@ struct EngineStats {
   /// (witness validations that skipped the canonical-tree rebuild).
   std::atomic<int64_t> snapshot_trees_mapped{0};
 
-  // Grouped canonical sweep (src/contain grouped loops + src/service
-  // batching + the daemon's coalescing window).
+  // Grouped canonical sweep (`ContainsGroup` under `force_canonical`).
   /// Shared sweeps formed: one per canonical-route group of >= 2 members
   /// decided over a single enumeration of the shared pattern's models.
   std::atomic<int64_t> sweep_groups_formed{0};

@@ -80,76 +80,6 @@ bool FairScheduler::Next(ServeRequest* out) {
   }
 }
 
-bool FairScheduler::NextBatch(std::vector<ServeRequest>* out, int window) {
-  out->clear();
-  std::unique_lock<std::mutex> lock(mu_);
-  while (true) {
-    cv_.wait(lock, [this] { return queued_ > 0 || closed_; });
-    if (queued_ == 0) return false;  // closed_ && empty
-    // Same DRR head selection as Next().
-    while (true) {
-      Tenant* head = ring_.front();
-      TenantQueue& q = queues_[head];
-      if (q.fifo.empty()) {
-        q.in_ring = false;
-        q.deficit = 0;
-        ring_.pop_front();
-        continue;  // ring cannot be empty: queued_ > 0
-      }
-      if (q.deficit <= 0) {
-        const uint32_t w = head->quota().weight;
-        q.deficit += quantum_ * static_cast<int64_t>(w == 0 ? 1 : w);
-      }
-      --q.deficit;
-      out->push_back(std::move(q.fifo.front()));
-      q.fifo.pop_front();
-      --queued_;
-      // Coalescing window: pull same-(p_src, mode) requests from the SAME
-      // tenant's FIFO.  Extras may overdraw the visit's deficit (it goes
-      // negative and carries as debt into the next recharge): a coalesced
-      // member rides the head's single enumeration sweep, so its marginal
-      // worker time is near zero and the *time* other tenants wait is the
-      // head's sweep either way; gating extras on remaining deficit would
-      // make a weight-1 tenant (deficit 0 after the head) never coalesce.
-      // The dequeue-count bound for others grows by at most window-1 per
-      // visit of a coalescing tenant, which the debited deficit repays.
-      // The scan is capped so a deep FIFO of non-matching requests cannot
-      // turn dequeue into O(n).
-      constexpr int kScanCap = 64;
-      int scanned = 0;
-      auto it = q.fifo.begin();
-      while (static_cast<int>(out->size()) < window && it != q.fifo.end() &&
-             scanned < kScanCap) {
-        if (it->mode == out->front().mode && it->p_src == out->front().p_src) {
-          --q.deficit;
-          out->push_back(std::move(*it));
-          it = q.fifo.erase(it);
-          --queued_;
-        } else {
-          ++it;
-          ++scanned;
-        }
-      }
-      if (q.deficit <= 0) {
-        ring_.pop_front();
-        if (q.fifo.empty()) {
-          q.in_ring = false;
-          q.deficit = 0;
-        } else {
-          ring_.push_back(head);
-        }
-      } else if (q.fifo.empty()) {
-        q.in_ring = false;
-        q.deficit = 0;
-        ring_.pop_front();
-      }
-      const int64_t now = NowNs();
-      for (ServeRequest& r : *out) r.queue_wait_ns = now - r.enqueue_ns;
-      return true;
-    }
-  }
-}
-
 void FairScheduler::CloseSubmit() {
   std::lock_guard<std::mutex> lock(mu_);
   closed_ = true;

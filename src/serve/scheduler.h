@@ -9,10 +9,8 @@
 // `FairScheduler` is a weighted deficit-round-robin (DRR) over per-tenant
 // FIFO queues:
 //
-//   * each tenant owns a FIFO of its admitted requests (per-tenant order is
-//     preserved by `Next`; `NextBatch`'s coalescing window may let a
-//     tenant's same-pattern requests overtake its earlier different-pattern
-//     ones — responses are matched by request id, never by arrival order);
+//   * each tenant owns a FIFO of its admitted requests, dequeued in
+//     arrival order one request at a time;
 //   * active tenants sit in a round-robin ring; the head tenant accumulates
 //     `quantum * weight` deficit per visit and dequeues one request per
 //     unit of deficit before the ring rotates;
@@ -21,11 +19,10 @@
 //     sum_{other tenants} quantum * weight_other requests are served before
 //     it — a constant independent of any queue's depth.  This is the
 //     mechanism behind the bench_serve isolation target: an adversarial
-//     tenant degrades only its own latency.  `NextBatch`'s coalesced
-//     extras may overdraw a visit (the deficit goes negative and carries
-//     as debt), stretching that count by at most window-1 per coalescing
-//     visit; in worker *time* the bound is unchanged, because a coalesced
-//     member shares the head request's single enumeration sweep.
+//     tenant degrades only its own latency.  Every dequeue hands one
+//     request to one worker, which decides it alone under its tenant's
+//     quota, so the bound counts whole decisions and the deficit never
+//     goes negative.
 //
 // Thread-safety: Submit is called by the IO thread, Next by every worker;
 // one mutex guards the ring (request handling dwarfs the critical section).
@@ -42,7 +39,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "contain/containment.h"
 #include "serve/tenant.h"
@@ -83,17 +79,6 @@ class FairScheduler {
   /// stamps its `queue_wait_ns`.  Returns false only when the scheduler is
   /// closed AND every queue is empty — the worker-loop exit condition.
   bool Next(ServeRequest* out);
-
-  /// As `Next`, but after dequeueing the DRR head it coalesces up to
-  /// `window - 1` more requests from the SAME tenant's FIFO that share the
-  /// head's grouping key (`p_src`, `mode`) — the daemon's feed for
-  /// `QueryService::ContainsGroupFor`.  Every coalesced request spends one
-  /// unit of the visit's deficit exactly as a `Next` dequeue would, so the
-  /// DRR starvation bound — and with it the aggressor-isolation property —
-  /// is unchanged: a window never grants a tenant more dequeues per visit
-  /// than its weight already does.  Blocks and returns like `Next`; on true
-  /// `out` holds >= 1 requests.  `window <= 1` is exactly `Next`.
-  bool NextBatch(std::vector<ServeRequest>* out, int window);
 
   /// Drain door: no further Submit succeeds; blocked Next callers wake and
   /// drain the backlog.

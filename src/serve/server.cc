@@ -130,12 +130,6 @@ bool Server::Start(std::string* error) {
   for (int w = 0; w < workers; ++w) {
     worker_ctxs_.push_back(std::make_unique<EngineContext>(worker_cfg));
   }
-  const int window = options_.group_window > 1 ? options_.group_window : 1;
-  for (int w = 0; w < workers && window > 1; ++w) {
-    for (int j = 0; j < window - 1; ++j) {
-      member_ctxs_.push_back(std::make_unique<EngineContext>(worker_cfg));
-    }
-  }
   EngineConfig pool_cfg;
   pool_cfg.threads = workers;  // pool threads = serve workers
   pool_ctx_ = std::make_unique<EngineContext>(pool_cfg);
@@ -183,7 +177,6 @@ std::string Server::EngineStatsJson() const {
   EngineStats merged;
   merged.MergeFrom(service_->context()->stats());
   for (const auto& ctx : worker_ctxs_) merged.MergeFrom(ctx->stats());
-  for (const auto& ctx : member_ctxs_) merged.MergeFrom(ctx->stats());
   return merged.ToJson(service_->context()->budget());
 }
 
@@ -241,7 +234,6 @@ void Server::IoLoop() {
       // cancellation, so a single Cancel could be lost.  Repeating it each
       // tick bounds any straggler's overrun by one poll interval.
       for (auto& ctx : worker_ctxs_) ctx->Cancel();
-      for (auto& ctx : member_ctxs_) ctx->Cancel();
     }
 
     const int workers_total = static_cast<int>(worker_ctxs_.size());
@@ -571,39 +563,6 @@ void Server::RespondUnrun(const ServeRequest& req, WireStatus status) {
   PushResponse(req.conn_id, EncodeResponse(resp));
 }
 
-void Server::FillVerdict(ResponseFrame* resp, const ContainmentResult& result,
-                         EngineContext* ctx, TenantCounters* counters) {
-  if (result.outcome == Outcome::kDecided) {
-    resp->status = WireStatus::kOk;
-    resp->contained = result.contained;
-    if (!result.contained && result.counterexample.has_value()) {
-      resp->detail = result.counterexample->ToString(*pool_);
-    }
-    counters->decided.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    ExhaustionReason reason = result.reason;
-    if (reason == ExhaustionReason::kNone) reason = ctx->budget().reason();
-    if (reason == ExhaustionReason::kNone) {
-      reason = ExhaustionReason::kSteps;  // undecided must name a cause
-    }
-    resp->status = WireStatusForReason(reason);
-    switch (reason) {
-      case ExhaustionReason::kDeadline:
-        counters->deadline_expired.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case ExhaustionReason::kMemory:
-        counters->memory_exhausted.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case ExhaustionReason::kCancelled:
-        counters->drain_cancelled.fetch_add(1, std::memory_order_relaxed);
-        break;
-      default:
-        counters->steps_exhausted.fetch_add(1, std::memory_order_relaxed);
-        break;
-    }
-  }
-}
-
 void Server::ProcessOne(EngineContext* ctx, ServeRequest& req) {
   Tenant* tenant = req.tenant;
   TenantCounters& counters = tenant->counters();
@@ -632,7 +591,35 @@ void Server::ProcessOne(EngineContext* ctx, ServeRequest& req) {
   } else {
     const ContainmentResult result =
         service_->ContainsFor(*p, *q, req.mode, ctx);
-    FillVerdict(&resp, result, ctx, &counters);
+    if (result.outcome == Outcome::kDecided) {
+      resp.status = WireStatus::kOk;
+      resp.contained = result.contained;
+      if (!result.contained && result.counterexample.has_value()) {
+        resp.detail = result.counterexample->ToString(*pool_);
+      }
+      counters.decided.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      ExhaustionReason reason = result.reason;
+      if (reason == ExhaustionReason::kNone) reason = ctx->budget().reason();
+      if (reason == ExhaustionReason::kNone) {
+        reason = ExhaustionReason::kSteps;  // undecided must name a cause
+      }
+      resp.status = WireStatusForReason(reason);
+      switch (reason) {
+        case ExhaustionReason::kDeadline:
+          counters.deadline_expired.fetch_add(1, std::memory_order_relaxed);
+          break;
+        case ExhaustionReason::kMemory:
+          counters.memory_exhausted.fetch_add(1, std::memory_order_relaxed);
+          break;
+        case ExhaustionReason::kCancelled:
+          counters.drain_cancelled.fetch_add(1, std::memory_order_relaxed);
+          break;
+        default:
+          counters.steps_exhausted.fetch_add(1, std::memory_order_relaxed);
+          break;
+      }
+    }
   }
   resp.retryable = WireStatusRetryable(resp.status);
   if (resp.status == WireStatus::kCancelledDrain) {
@@ -645,130 +632,10 @@ void Server::ProcessOne(EngineContext* ctx, ServeRequest& req) {
   PushResponse(req.conn_id, EncodeResponse(resp));
 }
 
-EngineContext* Server::MemberCtx(int worker_index, size_t slot) {
-  if (slot == 0) return worker_ctxs_[static_cast<size_t>(worker_index)].get();
-  const size_t per_worker =
-      static_cast<size_t>(options_.group_window > 1 ? options_.group_window - 1
-                                                    : 0);
-  return member_ctxs_[static_cast<size_t>(worker_index) * per_worker +
-                      (slot - 1)]
-      .get();
-}
-
-void Server::ProcessGroup(int worker_index, std::vector<ServeRequest>* reqs) {
-  // The scheduler coalesces within one tenant only, so quota and counters
-  // are shared by the whole batch.
-  Tenant* tenant = (*reqs)[0].tenant;
-  TenantCounters& counters = tenant->counters();
-  for (const ServeRequest& r : *reqs) {
-    counters.queue_wait_ns.fetch_add(r.queue_wait_ns,
-                                     std::memory_order_relaxed);
-  }
-  if (drain_expired_.load(std::memory_order_acquire)) {
-    for (const ServeRequest& r : *reqs) {
-      RespondUnrun(r, WireStatus::kCancelledDrain);
-    }
-    return;
-  }
-
-  const TenantQuota& quota = tenant->quota();
-  const int64_t t0 = NowNs();
-  const size_t n = reqs->size();
-
-  // p is parsed once for the whole group (the coalescing key is its source
-  // text); each member still parses and is attributed its own q.
-  ParseDiagnostic pdiag;
-  std::optional<Tpq> p = ParseTpqChecked((*reqs)[0].p_src, pool_, &pdiag);
-  std::vector<ResponseFrame> resps(n);
-  std::vector<std::optional<Tpq>> qs(n);
-  std::vector<QueryService::GroupQuery> queries;
-  std::vector<size_t> query_slot;  // queries[k] answers (*reqs)[query_slot[k]]
-  queries.reserve(n);
-  query_slot.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    resps[i].request_id = (*reqs)[i].request_id;
-    if (!p.has_value()) {
-      resps[i].status = WireStatus::kBadRequest;
-      resps[i].detail = "p: " + pdiag.ToString();
-      counters.bad_requests.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    ParseDiagnostic qdiag;
-    qs[i] = ParseTpqChecked((*reqs)[i].q_src, pool_, &qdiag);
-    if (!qs[i].has_value()) {
-      // A member with a malformed q is answered alone; its groupmates
-      // still run — one bad request never poisons the batch.
-      resps[i].status = WireStatus::kBadRequest;
-      resps[i].detail = "q: " + qdiag.ToString();
-      counters.bad_requests.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    EngineContext* mctx = MemberCtx(worker_index, queries.size());
-    mctx->budget().Arm(quota.step_limit, quota.deadline_ms,
-                       quota.memory_limit);
-    QueryService::GroupQuery gq;
-    gq.p = &*p;
-    gq.q = &*qs[i];
-    gq.mode = (*reqs)[i].mode;
-    gq.ctx = mctx;
-    queries.push_back(gq);
-    query_slot.push_back(i);
-  }
-
-  if (!queries.empty()) {
-    if (queries.size() >= 2) {
-      counters.sweep_groups.fetch_add(1, std::memory_order_relaxed);
-      counters.group_members.fetch_add(
-          static_cast<int64_t>(queries.size()), std::memory_order_relaxed);
-    }
-    auto retired_sum = [&queries] {
-      int64_t sum = 0;
-      for (const QueryService::GroupQuery& gq : queries) {
-        sum += gq.ctx->stats().group_members_retired_early.load(
-            std::memory_order_relaxed);
-      }
-      return sum;
-    };
-    const int64_t retired_before = retired_sum();
-    const std::vector<ContainmentResult> results =
-        service_->ContainsGroupFor(queries);
-    const int64_t retired_delta = retired_sum() - retired_before;
-    if (retired_delta > 0) {
-      counters.group_retired_early.fetch_add(retired_delta,
-                                             std::memory_order_relaxed);
-    }
-    for (size_t k = 0; k < queries.size(); ++k) {
-      FillVerdict(&resps[query_slot[k]], results[k], queries[k].ctx,
-                  &counters);
-    }
-  }
-
-  // The group shares one wall-clock interval: decide_ns is charged once
-  // (it measures worker time burnt for the tenant, which the batch shares).
-  counters.decide_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
-  for (size_t i = 0; i < n; ++i) {
-    resps[i].retryable = WireStatusRetryable(resps[i].status);
-    if (resps[i].status == WireStatus::kCancelledDrain) {
-      drain_cancelled_.fetch_add(1, std::memory_order_relaxed);
-    }
-    counters.completed.fetch_add(1, std::memory_order_relaxed);
-    tenants_.ReleaseSlot(tenant);
-    responded_.fetch_add(1, std::memory_order_relaxed);
-    PushResponse((*reqs)[i].conn_id, EncodeResponse(resps[i]));
-  }
-}
-
 void Server::WorkerLoop(int worker_index) {
   EngineContext* ctx = worker_ctxs_[static_cast<size_t>(worker_index)].get();
-  const int window = options_.group_window > 1 ? options_.group_window : 1;
-  std::vector<ServeRequest> reqs;
-  while (scheduler_.NextBatch(&reqs, window)) {
-    if (reqs.size() == 1) {
-      ProcessOne(ctx, reqs[0]);
-    } else {
-      ProcessGroup(worker_index, &reqs);
-    }
-  }
+  ServeRequest req;
+  while (scheduler_.Next(&req)) ProcessOne(ctx, req);
   workers_done_.fetch_add(1, std::memory_order_acq_rel);
   WakeIo();
 }

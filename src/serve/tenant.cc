@@ -92,14 +92,11 @@ std::string TenantRegistry::StatsJson() const {
     out += ", \"decide_ns\": " + v(c.decide_ns);
     out += ", \"decided\": " + v(c.decided);
     out += ", \"drain_cancelled\": " + v(c.drain_cancelled);
-    out += ", \"group_members\": " + v(c.group_members);
-    out += ", \"group_retired_early\": " + v(c.group_retired_early);
     out += ", \"memory_exhausted\": " + v(c.memory_exhausted);
     out += ", \"outstanding\": " + std::to_string(t->outstanding());
     out += ", \"queue_wait_ns\": " + v(c.queue_wait_ns);
     out += ", \"shed\": " + v(c.shed);
     out += ", \"steps_exhausted\": " + v(c.steps_exhausted);
-    out += ", \"sweep_groups\": " + v(c.sweep_groups);
     out += ", \"weight\": " + std::to_string(t->quota().weight);
     out += "}";
   }

@@ -71,12 +71,6 @@ struct TenantCounters {
   std::atomic<int64_t> bad_requests{0};
   std::atomic<int64_t> queue_wait_ns{0};      // total scheduler wait
   std::atomic<int64_t> decide_ns{0};          // total worker compute time
-  // Dequeue coalescing (scheduler window >= 2 requests dequeued together
-  // and decided by QueryService::ContainsGroupFor; members retire mid-sweep
-  // only under force_canonical).
-  std::atomic<int64_t> sweep_groups{0};        // coalesced batches formed
-  std::atomic<int64_t> group_members{0};       // requests inside those batches
-  std::atomic<int64_t> group_retired_early{0};  // members retired mid-sweep
 };
 
 /// One tenant: identity, quota, counters and the outstanding-slot gauge.

@@ -61,10 +61,28 @@ std::shared_ptr<const QueryService::MinimizedEntry> QueryService::Minimized(
       (mode == Mode::kStrong ? 0x94d049bb133111ebULL : 0) ^
       (pool_->generation() * 0xd6e8feb86659fd93ULL);
   {
-    std::lock_guard<std::mutex> lock(minimize_mu_);
+    // Concurrent requests for one new pattern (the daemon's workers, the
+    // batch fan-out) wait for the first one's minimization rather than
+    // each running it.  A waiter finding no entry afterwards (the
+    // minimizer's budget ran out) minimizes on its own budget.
+    std::unique_lock<std::mutex> lock(minimize_mu_);
+    minimize_cv_.wait(lock, [&] { return !minimizing_.count(memo_key); });
     auto it = minimize_memo_.find(memo_key);
     if (it != minimize_memo_.end()) return it->second;
+    minimizing_.insert(memo_key);
   }
+  // Leaves `minimizing_` on every exit, so no waiter can be stranded.
+  struct Done {
+    QueryService* self;
+    uint64_t key;
+    ~Done() {
+      {
+        std::lock_guard<std::mutex> lock(self->minimize_mu_);
+        self->minimizing_.erase(key);
+      }
+      self->minimize_cv_.notify_all();
+    }
+  } done{this, memo_key};
   auto entry = std::make_shared<MinimizedEntry>();
   entry->pattern = MinimizeTpq(pattern, mode, pool_, ctx, options);
   // One bottom-up pass yields both lanes; the lo lane *is* CanonicalTpqHash.
@@ -154,14 +172,11 @@ void QueryService::SeedMinimized(const Tpq& pattern, const TpqDigest& digest,
 
 ContainmentResult QueryService::DecideOne(const Tpq& p, const Tpq& q,
                                           Mode mode, bool in_worker,
-                                          EngineContext* ctx,
-                                          PendingDecision* defer) {
+                                          EngineContext* ctx) {
   // The decision state, captured before any layer runs: every exit that
   // settles the pair records it through `FinishDecision`, and a pair that
-  // survives every fast-path layer is dispatched right here or deferred
-  // into a grouped sweep with others sharing p.
-  PendingDecision local;
-  PendingDecision& d = defer != nullptr ? *defer : local;
+  // survives every fast-path layer goes to the dispatcher at the end.
+  PendingDecision d;
   d.options = options_.containment;
   if (in_worker) d.options.sequential_sweep = true;
   // Share the program pool with the dispatcher: its sweeps publish compiled
@@ -374,10 +389,6 @@ ContainmentResult QueryService::DecideOne(const Tpq& p, const Tpq& q,
   }
 
   // Every fast-path layer passed: the pair needs the real dispatcher.
-  if (defer != nullptr) {
-    d.active = true;
-    return ContainmentResult{};
-  }
   return FinishDecision(d, tpc::Contains(pp, qq, mode, pool_, ctx, options),
                         ctx);
 }
@@ -418,59 +429,6 @@ ContainmentResult QueryService::FinishDecision(const PendingDecision& d,
   return result;
 }
 
-void QueryService::DecideDeferred(std::vector<PendingRef>* refs,
-                                  EngineContext* group_ctx,
-                                  bool parallel_groups) {
-  // Group by (p identity, mode).  Buckets key on the enumeration-side
-  // pattern's canonical hash; within a bucket the representative pattern is
-  // compared structurally, so a hash collision degrades to a separate group
-  // — never to a wrong grouping.
-  struct Group {
-    Mode mode;
-    const Tpq* p;
-    std::vector<PendingRef> members;
-  };
-  std::vector<Group> groups;
-  std::unordered_map<uint64_t, std::vector<size_t>> by_hash;
-  for (PendingRef& r : *refs) {
-    const uint64_t p_hash =
-        r.d->pm != nullptr ? r.d->pm->hash : CanonicalTpqHash(*r.d->p);
-    std::vector<size_t>& bucket = by_hash[p_hash];
-    bool placed = false;
-    for (size_t gi : bucket) {
-      Group& g = groups[gi];
-      if (g.mode == r.d->mode && *g.p == *r.d->p) {
-        g.members.push_back(r);
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) {
-      bucket.push_back(groups.size());
-      groups.push_back(Group{r.d->mode, r.d->p, {r}});
-    }
-  }
-  auto decide_group = [this, group_ctx](Group& g) {
-    std::vector<GroupMember> members;
-    members.reserve(g.members.size());
-    for (PendingRef& r : g.members) members.push_back({r.d->q, r.ctx});
-    std::vector<ContainmentResult> results = tpc::ContainsGroup(
-        *g.p, members, g.mode, pool_, group_ctx, g.members[0].d->options);
-    for (size_t i = 0; i < g.members.size(); ++i) {
-      *g.members[i].result = FinishDecision(
-          *g.members[i].d, std::move(results[i]), g.members[i].ctx);
-    }
-  };
-  if (parallel_groups && groups.size() > 1 && ctx_->threads() > 1) {
-    ctx_->pool().ParallelFor(static_cast<int64_t>(groups.size()),
-                             [&](int64_t gi) {
-                               decide_group(groups[static_cast<size_t>(gi)]);
-                             });
-  } else {
-    for (Group& g : groups) decide_group(g);
-  }
-}
-
 ContainmentResult QueryService::Contains(const Tpq& p, const Tpq& q,
                                          Mode mode) {
   return DecideOne(p, q, mode, /*in_worker=*/false, ctx_);
@@ -486,25 +444,10 @@ ContainmentResult QueryService::ContainsFor(const Tpq& p, const Tpq& q,
 
 std::vector<ContainmentResult> QueryService::ContainsGroupFor(
     const std::vector<GroupQuery>& queries) {
-  std::vector<ContainmentResult> results(queries.size());
-  if (queries.empty()) return results;
-  std::vector<PendingDecision> pending(queries.size());
-  std::vector<PendingRef> refs;
-  // Shared sweep work (tree builds, enumeration) is accounted on the first
-  // deferred member's context — the group's "leader" request.
-  EngineContext* group_ctx = nullptr;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const GroupQuery& gq = queries[i];
-    results[i] = DecideOne(*gq.p, *gq.q, gq.mode, /*in_worker=*/true, gq.ctx,
-                           &pending[i]);
-    if (pending[i].active) {
-      if (group_ctx == nullptr) group_ctx = gq.ctx;
-      refs.push_back({&pending[i], &results[i], gq.ctx});
-    }
-  }
-  // The caller is one worker thread: groups decide serially on it.
-  if (!refs.empty()) {
-    DecideDeferred(&refs, group_ctx, /*parallel_groups=*/false);
+  std::vector<ContainmentResult> results;
+  results.reserve(queries.size());
+  for (const GroupQuery& gq : queries) {
+    results.push_back(ContainsFor(*gq.p, *gq.q, gq.mode, gq.ctx));
   }
   return results;
 }
@@ -552,10 +495,6 @@ std::vector<ContainmentResult> QueryService::ContainsBatch(
   ctx_->stats().batch_deduped.fetch_add(folded, std::memory_order_relaxed);
 
   std::vector<ContainmentResult> unique_results(representative.size());
-  // Pairs the fast path cannot answer are deferred in stage 1 and decided in
-  // stage 2, where items sharing an enumeration-side pattern run one
-  // canonical-model sweep together.
-  std::vector<PendingDecision> pending(representative.size());
   const bool parallel = ctx_->threads() > 1 && representative.size() > 1;
   if (parallel) {
     // Workers force sequential sweeps: ParallelFor must not reenter.
@@ -563,25 +502,15 @@ std::vector<ContainmentResult> QueryService::ContainsBatch(
         static_cast<int64_t>(representative.size()), [&](int64_t u) {
           const BatchItem& item = items[representative[static_cast<size_t>(u)]];
           unique_results[static_cast<size_t>(u)] =
-              DecideOne(item.p, item.q, item.mode, /*in_worker=*/true, ctx_,
-                        &pending[static_cast<size_t>(u)]);
+              DecideOne(item.p, item.q, item.mode, /*in_worker=*/true, ctx_);
         });
   } else {
     for (size_t u = 0; u < representative.size(); ++u) {
       const BatchItem& item = items[representative[u]];
       unique_results[u] = DecideOne(item.p, item.q, item.mode,
-                                    /*in_worker=*/false, ctx_, &pending[u]);
+                                    /*in_worker=*/false, ctx_);
     }
   }
-  std::vector<PendingRef> refs;
-  for (size_t u = 0; u < representative.size(); ++u) {
-    if (pending[u].active) {
-      refs.push_back({&pending[u], &unique_results[u], ctx_});
-    }
-  }
-  // Independent groups fan out only when stage 1 already forced sequential
-  // sweeps onto the deferred options.
-  if (!refs.empty()) DecideDeferred(&refs, ctx_, parallel);
   for (size_t i = 0; i < items.size(); ++i) {
     results[i] = unique_results[owner[i]];
   }

@@ -22,16 +22,13 @@
 //      previously successful counterexample vectors pooled per q-hash —
 //      refutes early, both long before the exponential sweep.
 //   4. *Batching*: `ContainsBatch` folds exact duplicates (one decision
-//      serves all copies) and fans the residue out over the context's
+//      serves all copies) and fans the unique pairs out over the context's
 //      thread pool, with each worker forced onto sequential sweeps
 //      (`ContainmentOptions::sequential_sweep`) because `ParallelFor` does
-//      not reenter.  Pairs that survive every fast-path layer are then
-//      *grouped* by (enumeration-side pattern, mode) and decided through
-//      `tpc::ContainsGroup`.  On the default route its members share only
-//      the enumeration-side pattern's weak-phase relabelling; under
-//      `force_canonical` they share one enumeration of its canonical models
-//      (a group of one is a solo decision; `ContainsGroupFor` is the
-//      daemon-side entry for its coalescing window).
+//      not reenter.  Each unique pair runs the whole pipeline, dispatcher
+//      included, in its own slot of that one fan-out; pairs sharing p are
+//      not grouped (`tpc::ContainsGroup` stays available to callers that
+//      want a shared sweep under `force_canonical`).
 //   5. *Pattern compilation* (src/compile/): minimized patterns seen
 //      `kProgramHotThreshold` times, and every swept one, are lowered to
 //      flat matcher programs pooled beside the verdict cache and shared with
@@ -47,10 +44,12 @@
 #ifndef TPC_SERVICE_QUERY_SERVICE_H_
 #define TPC_SERVICE_QUERY_SERVICE_H_
 
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "base/label.h"
@@ -149,14 +148,7 @@ class QueryService {
     EngineContext* ctx = nullptr;
   };
 
-  /// `ContainsFor` over a coalesced group (the daemon's scheduler window).
-  /// Every member runs the full per-pair fast path on its own context;
-  /// members that all layers fail to answer are then grouped by
-  /// (enumeration-side pattern, mode) and decided through
-  /// `tpc::ContainsGroup` — sharing p's weak-phase relabelling, and under
-  /// `force_canonical` one canonical-model enumeration — with per-member
-  /// budget charges, exhaustion attribution, witnesses and cache/lattice
-  /// insertion exactly as if decided alone.
+  /// `ContainsFor` on every member, in order, each on its own context.
   /// Results are indexed like `queries`.  Callable concurrently from many
   /// worker threads under the same contract as `ContainsFor`.
   std::vector<ContainmentResult> ContainsGroupFor(
@@ -211,7 +203,8 @@ class QueryService {
   };
 
   /// Minimizes `pattern` under `mode` and hashes the result, memoized on
-  /// the raw canonical hash.  Budget-exhausted minimizations are returned
+  /// the raw canonical hash.  A caller whose key another thread is already
+  /// minimizing waits for that result instead of repeating the work.  Budget-exhausted minimizations are returned
   /// (still equivalent — see MinimizeTpq) but not memoized.  The work is
   /// charged to `ctx` (the per-request context); the memo bytes stay on the
   /// service budget.
@@ -220,13 +213,9 @@ class QueryService {
       EngineContext* ctx);
 
   /// One pair's decision state: what `FinishDecision` records a verdict
-  /// under, and — once `active` — a pair the fast path could not answer,
-  /// captured so the batch/group layers can decide it together with others
-  /// sharing its enumeration-side pattern.  `p`/`q` point at the minimized
-  /// patterns (kept alive by `pm`/`qm`) or the caller's originals when the
-  /// cache layer is off.
+  /// under.  `p`/`q` point at the minimized patterns (kept alive by
+  /// `pm`/`qm`) or the caller's originals when the cache layer is off.
   struct PendingDecision {
-    bool active = false;
     const Tpq* p = nullptr;
     const Tpq* q = nullptr;
     std::shared_ptr<const MinimizedEntry> pm, qm;
@@ -238,43 +227,19 @@ class QueryService {
     ContainmentOptions options;
   };
 
-  /// A deferred decision plus where its result goes and which context the
-  /// member's decision runs under.
-  struct PendingRef {
-    PendingDecision* d = nullptr;
-    ContainmentResult* result = nullptr;
-    EngineContext* ctx = nullptr;
-  };
-
   /// The full per-pair pipeline; `in_worker` forces sequential sweeps.
   /// `ctx` carries the budget/stats/scratch of this decision — the service's
   /// own context for Contains/ContainsBatch, the caller's for ContainsFor.
-  /// The decision state is captured in a `PendingDecision` (`defer`, when
-  /// non-null) before any layer runs.  With a non-null `defer`, a pair that
-  /// survives every fast-path layer is *not* dispatched: `defer` is marked
-  /// active and the returned placeholder must be replaced by
-  /// `DecideDeferred`.
   ContainmentResult DecideOne(const Tpq& p, const Tpq& q, Mode mode,
-                              bool in_worker, EngineContext* ctx,
-                              PendingDecision* defer = nullptr);
+                              bool in_worker, EngineContext* ctx);
 
   /// Records a decided verdict — probe book, verdict cache, lattice — for
   /// every exit that settles a pair without a cache hit: the lattice stitch
   /// and witness borrow, the prefilter accept and refute, and the
-  /// dispatcher (inline or deferred).  Returns `result` unchanged.
+  /// dispatcher.  Returns `result` unchanged.
   ContainmentResult FinishDecision(const PendingDecision& d,
                                    ContainmentResult result,
                                    EngineContext* ctx);
-
-  /// Groups the deferred residue by (enumeration-side pattern, mode) —
-  /// hash-bucketed, guarded by structural equality so a hash collision
-  /// degrades to separate groups — and decides each group through
-  /// `tpc::ContainsGroup` on `group_ctx`, finishing every member's result
-  /// in place.  `parallel_groups` fans independent groups out over the
-  /// service context's pool (only valid when the deferred options force
-  /// sequential sweeps).
-  void DecideDeferred(std::vector<PendingRef>* refs, EngineContext* group_ctx,
-                      bool parallel_groups);
 
   std::vector<std::vector<int32_t>> ProbesFor(const ProbeKey& key);
   void RecordProbe(const ProbeKey& key, const std::vector<int32_t>& lengths);
@@ -305,6 +270,10 @@ class QueryService {
   std::mutex minimize_mu_;
   std::unordered_map<uint64_t, std::shared_ptr<const MinimizedEntry>>
       minimize_memo_;
+  // Memo keys being minimized right now; `minimize_cv_` signals each one
+  // leaving the set.  Both are guarded by `minimize_mu_`.
+  std::unordered_set<uint64_t> minimizing_;
+  std::condition_variable minimize_cv_;
   TrackedBytes memo_tracked_;
 
   std::mutex probe_mu_;

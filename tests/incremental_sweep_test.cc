@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <optional>
 #include <random>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "match/embedding.h"
 #include "pattern/canonical.h"
 #include "pattern/normalize.h"
+#include "pattern/tpq_parser.h"
 #include "reductions/hardness_families.h"
 #include "reference_sweep.h"
 
@@ -70,7 +72,8 @@ TEST(IncrementalSweepTest, AgreesWithScratchSequentially) {
 
 /// The parallel sweep may report any counterexample (first chunk to find
 /// one wins), so agreement is on the verdict; the reported length vector
-/// must still denote a genuine counterexample canonical model.
+/// must still denote a genuine counterexample canonical model.  Once every
+/// member has retired, the sweep claims no further chunk.
 TEST(IncrementalSweepTest, AgreesWithScratchInParallel) {
   LabelPool pool;
   std::mt19937 rng(86420);
@@ -109,6 +112,42 @@ TEST(IncrementalSweepTest, AgreesWithScratchInParallel) {
           << p.ToString(pool) << " in " << q.ToString(pool);
     }
   }
+
+  // The refuted family of DESIGN.md "Where it loses" at n = 7, under the
+  // safe bound: q matches only the all-0 and all-1 length vectors, so the
+  // second tree of the first chunk refutes.  Once it does, no further chunk
+  // may be claimed: the trees swept stay within one chunk per thread (plus
+  // the tree each thread may start as the last member retires), out of a
+  // space of (B+1)^7 = 17^7.
+  const Tpq p = MustParseTpq("r[y]/x[//a][//b][//c][//d][//e][//f][//g]",
+                             &pool);
+  const Tpq q = MustParseTpq("*[*/a][*/b][*/c][*/d][*/e][*/f][*/g]", &pool);
+  ContainmentOptions safe = SweepOptions();
+  safe.bound = ContainmentOptions::Bound::kSafe;
+  EngineConfig one_config = config;
+  one_config.threads = 1;
+  EngineContext one_ctx(one_config);
+  const ContainmentResult one =
+      Contains(p, q, Mode::kWeak, &pool, &one_ctx, safe);
+  EngineContext four_ctx(config);
+  const ContainmentResult four =
+      Contains(p, q, Mode::kWeak, &pool, &four_ctx, safe);
+  ASSERT_EQ(one.outcome, Outcome::kDecided);
+  ASSERT_EQ(four.outcome, Outcome::kDecided);
+  EXPECT_FALSE(one.contained);
+  EXPECT_EQ(four.contained, one.contained);
+  // Which chunk wins is schedule-dependent, so the witnesses agree in
+  // kind: each is a length vector whose canonical tree q does not match.
+  for (const ContainmentResult* r : {&one, &four}) {
+    ASSERT_TRUE(r->counterexample_lengths.has_value());
+    ASSERT_EQ(r->counterexample_lengths->size(), DescendantEdges(p).size());
+    const Tree model =
+        CanonicalTree(p, *r->counterexample_lengths, pool.Fresh("_bot"));
+    EXPECT_FALSE(MatchesWeak(Normalize(q), model));
+  }
+  EXPECT_LE(four_ctx.stats().canonical_trees_enumerated.load(
+                std::memory_order_relaxed),
+            config.threads * config.parallel_chunk + config.threads);
 }
 
 /// On the coNP family every model's DP cells are either filled or carried

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
@@ -343,57 +344,80 @@ TEST(ServeFaultTest, AdmissionCapShedsWithRetryHint) {
 }
 
 TEST(ServeFaultTest, FairShareIsolatesLightTenantFromAggressor) {
-  ServerOptions options;
-  options.workers = 1;  // deterministic DRR interleaving on one worker
-  ServerFixture fx(options, SweepOnlyOptions(/*use_cache=*/false), "fair");
+  // Two aggressor shapes: 10 distinct full-sweep instances, and 10 copies
+  // of one instance sharing p (nothing folds them: the cache is off).  A
+  // scheduler that dequeued same-p requests together would serve the
+  // second flood several per ring visit against the light tenant's 1.
+  for (const bool shared_p : {false, true}) {
+    SCOPED_TRACE(shared_p ? "aggressor requests share p"
+                          : "aggressor requests are distinct");
+    ServerOptions options;
+    options.workers = 1;  // deterministic DRR interleaving on one worker
+    ServerFixture fx(options, SweepOnlyOptions(/*use_cache=*/false),
+                     shared_p ? "fair_shared" : "fair");
 
-  Client aggressor;
-  Client light;
-  std::string error;
-  ASSERT_TRUE(aggressor.ConnectUnix(fx.sock_path, "aggr", &error)) << error;
-  ASSERT_TRUE(light.ConnectUnix(fx.sock_path, "light", &error)) << error;
-  // The aggressor floods 10 full-sweep instances, then the light tenant
-  // sends 5 trivial ones.  Both batches arrive within one poll tick, so
-  // under FIFO the light tenant would wait behind the whole backlog; under
-  // DRR its requests interleave 1:1 and finish well before the flood.
-  constexpr int kAggressor = 10;
-  for (uint64_t id = 1; id <= kAggressor; ++id) {
-    const std::string p = SlowPattern(static_cast<int>(id));
-    ASSERT_TRUE(aggressor.SendQuery(id, Mode::kWeak, p, p, &error)) << error;
-  }
-  constexpr int kLight = 5;
-  for (uint64_t id = 1; id <= kLight; ++id) {
-    ASSERT_TRUE(light.SendQuery(id, Mode::kWeak, "a/b", "a//b", &error));
-  }
-  for (int i = 0; i < kLight; ++i) {
-    ResponseFrame resp;
-    ASSERT_TRUE(light.ReadResponse(&resp, &error)) << error;
-    EXPECT_EQ(resp.status, WireStatus::kOk);
-  }
-  // The instant the light tenant's last response arrived, the aggressor's
-  // flood must not be finished — that would mean the light tenant waited
-  // behind it (the single-FIFO failure mode this layer exists to prevent).
-  std::string stats;
-  ASSERT_TRUE(light.Stats(&stats, &error)) << error;
-  const size_t aggr_pos = stats.find("\"aggr\"");
-  ASSERT_NE(aggr_pos, std::string::npos) << stats;
-  const size_t completed_pos = stats.find("\"completed\": ", aggr_pos);
-  ASSERT_NE(completed_pos, std::string::npos) << stats;
-  const int aggr_completed =
-      std::stoi(stats.substr(completed_pos + strlen("\"completed\": ")));
-  EXPECT_LT(aggr_completed, kAggressor)
-      << "light tenant waited behind the aggressor's entire backlog";
+    Client aggressor;
+    Client light;
+    std::string error;
+    ASSERT_TRUE(aggressor.ConnectUnix(fx.sock_path, "aggr", &error)) << error;
+    ASSERT_TRUE(light.ConnectUnix(fx.sock_path, "light", &error)) << error;
+    // The aggressor floods 10 full-sweep instances; once the server has
+    // admitted all of them, the light tenant sends 5 trivial ones (distinct,
+    // so no two of them share p either).  Under FIFO the light tenant would
+    // wait behind the whole backlog; under DRR its requests interleave 1:1
+    // and finish well before the flood.  The instances are one descendant
+    // edge deeper than SlowPattern (8^5 = 32768 trees per sweep), so the
+    // backlog outlasts the admission wait below by a wide margin.
+    constexpr int kAggressor = 10;
+    for (uint64_t id = 1; id <= kAggressor; ++id) {
+      const std::string p =
+          "a//b//c//d//e//s" + std::to_string(shared_p ? 0 : id);
+      ASSERT_TRUE(aggressor.SendQuery(id, Mode::kWeak, p, p, &error))
+          << error;
+    }
+    const Tenant* aggr_tenant = fx.server->tenants().Resolve("aggr");
+    ASSERT_NE(aggr_tenant, nullptr);
+    for (int wait_ms = 0;
+         aggr_tenant->counters().admitted.load() < kAggressor; ++wait_ms) {
+      ASSERT_LT(wait_ms, 5000) << "aggressor flood was never admitted";
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    constexpr int kLight = 5;
+    for (uint64_t id = 1; id <= kLight; ++id) {
+      const std::string leaf = "b" + std::to_string(id);
+      ASSERT_TRUE(light.SendQuery(id, Mode::kWeak, "a/" + leaf, "a//" + leaf,
+                                  &error));
+    }
+    for (int i = 0; i < kLight; ++i) {
+      ResponseFrame resp;
+      ASSERT_TRUE(light.ReadResponse(&resp, &error)) << error;
+      EXPECT_EQ(resp.status, WireStatus::kOk);
+    }
+    // The instant the light tenant's last response arrived, the aggressor's
+    // flood must not be finished — that would mean the light tenant waited
+    // behind it (the single-FIFO failure mode this layer exists to prevent).
+    std::string stats;
+    ASSERT_TRUE(light.Stats(&stats, &error)) << error;
+    const size_t aggr_pos = stats.find("\"aggr\"");
+    ASSERT_NE(aggr_pos, std::string::npos) << stats;
+    const size_t completed_pos = stats.find("\"completed\": ", aggr_pos);
+    ASSERT_NE(completed_pos, std::string::npos) << stats;
+    const int aggr_completed =
+        std::stoi(stats.substr(completed_pos + strlen("\"completed\": ")));
+    EXPECT_LT(aggr_completed, kAggressor)
+        << "light tenant waited behind the aggressor's entire backlog";
 
-  for (int i = 0; i < kAggressor; ++i) {
-    ResponseFrame resp;
-    ASSERT_TRUE(aggressor.ReadResponse(&resp, &error)) << error;
-    EXPECT_EQ(resp.status, WireStatus::kOk);
+    for (int i = 0; i < kAggressor; ++i) {
+      ResponseFrame resp;
+      ASSERT_TRUE(aggressor.ReadResponse(&resp, &error)) << error;
+      EXPECT_EQ(resp.status, WireStatus::kOk);
+    }
+    light.Close();
+    aggressor.Close();
+    fx.server->RequestDrain();
+    const DrainReport report = fx.server->Wait();
+    EXPECT_EQ(report.accepted, report.responded);
   }
-  light.Close();
-  aggressor.Close();
-  fx.server->RequestDrain();
-  const DrainReport report = fx.server->Wait();
-  EXPECT_EQ(report.accepted, report.responded);
 }
 
 }  // namespace

@@ -149,97 +149,6 @@ TEST(FairSchedulerTest, QueueWaitIsStamped) {
   EXPECT_GT(out.queue_wait_ns, 0);
 }
 
-ServeRequest KeyedReq(Tenant* tenant, uint64_t id, const std::string& p,
-                      Mode mode = Mode::kWeak) {
-  ServeRequest r = Req(tenant, id);
-  r.p_src = p;
-  r.mode = mode;
-  return r;
-}
-
-TEST(FairSchedulerTest, NextBatchCoalescesSameKeyForWeightOneTenant) {
-  // The regression shape: a weight-1 tenant has deficit 0 after the head
-  // dequeue, so a coalescing gate on remaining deficit would never form a
-  // batch.  Extras must overdraw the visit instead.
-  Tenant a("a", TenantQuota{});
-  FairScheduler sched;
-  for (uint64_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(sched.Submit(KeyedReq(&a, i, "r[u//b/c]")));
-  }
-  ASSERT_TRUE(sched.Submit(KeyedReq(&a, 9, "other")));
-  std::vector<ServeRequest> batch;
-  ASSERT_TRUE(sched.NextBatch(&batch, /*window=*/4));
-  ASSERT_EQ(batch.size(), 4u);
-  for (uint64_t i = 0; i < 4; ++i) EXPECT_EQ(batch[i].request_id, i);
-  ASSERT_TRUE(sched.NextBatch(&batch, 4));
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].request_id, 9u);
-  EXPECT_EQ(sched.queued(), 0);
-}
-
-TEST(FairSchedulerTest, NextBatchKeySpansModeAndPattern) {
-  // Same pattern text under a different mode (or a different pattern under
-  // the same mode) must not coalesce; matching requests further down the
-  // FIFO are pulled past the non-matching ones.
-  Tenant a("a", TenantQuota{});
-  FairScheduler sched;
-  ASSERT_TRUE(sched.Submit(KeyedReq(&a, 0, "p", Mode::kWeak)));
-  ASSERT_TRUE(sched.Submit(KeyedReq(&a, 1, "p", Mode::kStrong)));
-  ASSERT_TRUE(sched.Submit(KeyedReq(&a, 2, "q", Mode::kWeak)));
-  ASSERT_TRUE(sched.Submit(KeyedReq(&a, 3, "p", Mode::kWeak)));
-  std::vector<ServeRequest> batch;
-  ASSERT_TRUE(sched.NextBatch(&batch, 4));
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0].request_id, 0u);
-  EXPECT_EQ(batch[1].request_id, 3u);
-  ASSERT_TRUE(sched.NextBatch(&batch, 4));
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].request_id, 1u);
-  ASSERT_TRUE(sched.NextBatch(&batch, 4));
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].request_id, 2u);
-}
-
-TEST(FairSchedulerTest, NextBatchWindowOneNeverCoalesces) {
-  Tenant a("a", TenantQuota{});
-  FairScheduler sched;
-  for (uint64_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE(sched.Submit(KeyedReq(&a, i, "p")));
-  }
-  std::vector<ServeRequest> batch;
-  for (uint64_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE(sched.NextBatch(&batch, /*window=*/1));
-    ASSERT_EQ(batch.size(), 1u);
-    EXPECT_EQ(batch[0].request_id, i);
-  }
-}
-
-TEST(FairSchedulerTest, NextBatchDoesNotStarveOtherTenants) {
-  // A coalescing tenant overdraws its visit, but the ring still rotates:
-  // the other tenant is served on the very next dequeue, and the debt
-  // keeps the coalescer from banking extra visits afterwards.
-  Tenant groupy("groupy", TenantQuota{});
-  Tenant solo("solo", TenantQuota{});
-  FairScheduler sched;
-  for (uint64_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(sched.Submit(KeyedReq(&groupy, i, "p")));
-  }
-  ASSERT_TRUE(sched.Submit(KeyedReq(&solo, 100, "s")));
-  ASSERT_TRUE(sched.Submit(KeyedReq(&groupy, 4, "p")));
-  std::vector<ServeRequest> batch;
-  ASSERT_TRUE(sched.NextBatch(&batch, 4));
-  ASSERT_EQ(batch.size(), 4u);
-  EXPECT_EQ(batch[0].tenant, &groupy);
-  ASSERT_TRUE(sched.NextBatch(&batch, 4));
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].tenant, &solo) << "ring must rotate after an "
-                                       "overdrawn coalescing visit";
-  ASSERT_TRUE(sched.NextBatch(&batch, 4));
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].request_id, 4u);
-  EXPECT_EQ(sched.queued(), 0);
-}
-
 TEST(FairSchedulerTest, ConcurrentProducersAndConsumers) {
   Tenant a("a", TenantQuota{});
   TenantQuota b_quota;
