@@ -1,12 +1,12 @@
 // Persistent warm-start tier: what a snapshot is worth.
 //
-// Three questions, each with an A/B twin and verdict-identity enforcement
-// (a persistence tier that changes answers is a bug, not a speedup):
+// Three questions, each with verdict-identity enforcement (a persistence
+// tier that changes answers is a bug, not a speedup):
 //
 //   * BM_Persist_ColdTimeToFirstVerdict vs BM_Persist_WarmTimeToFirstVerdict
 //     — a fresh process receives the hottest (coNP-refuted) query of a zipf
 //     stream.  Cold pays the full dispatcher route; warm pays LoadSnapshot
-//     (mmap + re-fence + seed) plus one cache hit.  The acceptance target is
+//     (read + re-fence + seed) plus one cache hit.  The acceptance target is
 //     a >= 10x gap in favour of warm start.
 //   * BM_Persist_ChainStitchConversion — the transitive-chain family:
 //     adjacent pairs p_i ⊑ p_{i+1} are decided directly, then every distant
@@ -15,17 +15,12 @@
 //     aborts unless >= 30% of the distant queries convert to stitch hits
 //     (in practice all of them do) and every verdict matches the plain
 //     dispatcher's.
-//   * BM_Persist_MmapOpen vs BM_Persist_RebuildTrees — the zero-copy axis:
-//     opening a snapshot maps and validates every tree in place, while the
-//     rebuild twin re-materializes each tree node by node on the heap (what
-//     any re-parse of a textual dump would have to do at minimum).
 //   * BM_Persist_RemapLoad — the non-identity remap axis: the same snapshot
-//     is adopted into a pool whose ids were shifted by decoy interns, so
-//     every label column must be translated and the zero-copy tree adoption
-//     is declined (snapshot_trees_mapped must stay 0).  The cache and
-//     lattice still warm up — both the contained head and its refuted twin
-//     must serve as cache hits with verdicts identical to the cold
-//     dispatcher, the refutation replayed from stored lengths.
+//     is loaded into a pool whose ids were shifted by decoy interns, so
+//     every stored label id must be translated.  The cache and lattice
+//     still warm up — both the contained head and its refuted twin must
+//     serve as cache hits with verdicts identical to the cold dispatcher,
+//     the refutation replayed from stored lengths.
 
 #include <benchmark/benchmark.h>
 
@@ -39,10 +34,8 @@
 #include "contain/containment.h"
 #include "engine/engine.h"
 #include "gen/random_instances.h"
-#include "persist/snapshot.h"
 #include "reductions/hardness_families.h"
 #include "service/query_service.h"
-#include "tree/tree.h"
 
 namespace tpc {
 namespace {
@@ -152,7 +145,7 @@ void BM_Persist_WarmTimeToFirstVerdict(benchmark::State& state) {
   const QueryService::BatchItem& head = w.stream[w.head];
   int64_t hits = 0;
   for (auto _ : state) {
-    // The timed region is the whole restart: map the snapshot, re-fence and
+    // The timed region is the whole restart: read the snapshot, re-fence and
     // seed the tiers, then serve the first query.
     EngineContext ctx;
     QueryService service(&w.pool, &ctx, PersistServiceOptions());
@@ -203,12 +196,12 @@ void BM_Persist_RemapLoad(benchmark::State& state) {
   // n = 5 coNP instance against q_yes and q_no).
   const QueryService::BatchItem& head = w.stream[w.head];
   const QueryService::BatchItem& twin = w.stream[w.head + 1];
-  int64_t hits = 0, mapped = 0;
+  int64_t hits = 0;
   for (auto _ : state) {
     state.PauseTiming();
     // Decoy interns shift every snapshot label to a different live id, so
-    // LoadSnapshot must take the translation path rather than the identity
-    // fast path; the queries themselves are re-interned to the live pool.
+    // LoadSnapshot must translate every stored id; the queries themselves
+    // are re-interned to the live pool.
     LabelPool live;
     for (int i = 0; i < 17; ++i) live.Intern("zz_decoy_" + std::to_string(i));
     Tpq head_p = ReinternTpq(head.p, w.pool, &live);
@@ -216,7 +209,7 @@ void BM_Persist_RemapLoad(benchmark::State& state) {
     Tpq twin_p = ReinternTpq(twin.p, w.pool, &live);
     Tpq twin_q = ReinternTpq(twin.q, w.pool, &live);
     state.ResumeTiming();
-    // The timed region mirrors the warm twin: map + translate + seed, then
+    // The timed region mirrors the warm twin: read + translate + seed, then
     // serve the head pair and its refuted twin.
     EngineContext ctx;
     QueryService service(&live, &ctx, PersistServiceOptions());
@@ -236,18 +229,12 @@ void BM_Persist_RemapLoad(benchmark::State& state) {
       return;
     }
     hits = ctx.stats().cache_hits.load(std::memory_order_relaxed);
-    mapped =
-        ctx.stats().snapshot_trees_mapped.load(std::memory_order_relaxed);
     benchmark::DoNotOptimize(r.contained);
     benchmark::DoNotOptimize(rt.contained);
   }
   if (state.iterations() > 0) {
     if (hits == 0) {
       state.SkipWithError("remap load served no cache hit");
-      return;
-    }
-    if (mapped != 0) {
-      state.SkipWithError("non-identity remap must not adopt zero-copy trees");
       return;
     }
     state.counters["remap_cache_hits"] = static_cast<double>(hits);
@@ -339,98 +326,6 @@ BENCHMARK(BM_Persist_ChainStitchConversion)
     ->Arg(4)
     ->Arg(6)
     ->Arg(8)
-    ->Unit(benchmark::kMicrosecond);
-
-// ---------------------------------------------------------------------------
-// Mmap open vs heap rebuild.
-
-struct TreeCorpus {
-  LabelPool pool;
-  std::string path;
-  int64_t total_nodes = 0;
-};
-
-TreeCorpus MakeTreeCorpus(int count, uint64_t seed) {
-  TreeCorpus corpus;
-  corpus.path = BenchSnapPath("corpus");
-  std::vector<LabelId> labels = MakeLabels(6, &corpus.pool);
-  std::mt19937 rng(static_cast<std::mt19937::result_type>(seed));
-  SnapshotWriter writer;
-  writer.SetLabels(corpus.pool);
-  for (int i = 0; i < count; ++i) {
-    RandomTreeOptions topt;
-    topt.labels = labels;
-    topt.size = 16 + static_cast<int32_t>(rng() % 48);
-    Tree t = RandomTree(topt, &rng);
-    corpus.total_nodes += t.size();
-    writer.AddTree(t);
-  }
-  std::string error;
-  if (!writer.WriteTo(corpus.path, &error)) corpus.path.clear();
-  return corpus;
-}
-
-void BM_Persist_MmapOpen(benchmark::State& state) {
-  TreeCorpus corpus = MakeTreeCorpus(static_cast<int>(state.range(0)), 99);
-  if (corpus.path.empty()) {
-    state.SkipWithError("corpus write failed");
-    return;
-  }
-  std::string error;
-  for (auto _ : state) {
-    SnapshotReader reader;
-    if (!reader.Open(corpus.path, nullptr, &error)) {
-      state.SkipWithError(error.c_str());
-      return;
-    }
-    // Touch every tree root through the zero-copy view; validation already
-    // walked all columns during Open.
-    uint64_t acc = 0;
-    for (uint32_t i = 0; i < reader.tree_count(); ++i) {
-      acc += static_cast<uint64_t>(reader.TreeAt(i).Label(0));
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(state.iterations() * corpus.total_nodes);
-  std::remove(corpus.path.c_str());
-}
-BENCHMARK(BM_Persist_MmapOpen)->Arg(128)->Arg(512)->Unit(benchmark::kMicrosecond);
-
-void BM_Persist_RebuildTrees(benchmark::State& state) {
-  TreeCorpus corpus = MakeTreeCorpus(static_cast<int>(state.range(0)), 99);
-  if (corpus.path.empty()) {
-    state.SkipWithError("corpus write failed");
-    return;
-  }
-  std::string error;
-  for (auto _ : state) {
-    // The re-parse floor: load the file and materialize every tree node by
-    // node on the heap — what any non-columnar dump costs even with a free
-    // parser.  The delta against MmapOpen at equal tree counts is the
-    // materialization surcharge the zero-copy adoption avoids.
-    SnapshotReader reader;
-    if (!reader.Open(corpus.path, nullptr, &error)) {
-      state.SkipWithError(error.c_str());
-      return;
-    }
-    uint64_t acc = 0;
-    for (uint32_t i = 0; i < reader.tree_count(); ++i) {
-      const TreeView view = reader.TreeAt(i);
-      Tree t(view.Label(0));
-      for (NodeId v = 1; v < view.size(); ++v) {
-        t.AddChild(view.Parent(v), view.Label(v));
-      }
-      acc += static_cast<uint64_t>(t.size());
-      benchmark::DoNotOptimize(t.size());
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(state.iterations() * corpus.total_nodes);
-  std::remove(corpus.path.c_str());
-}
-BENCHMARK(BM_Persist_RebuildTrees)
-    ->Arg(128)
-    ->Arg(512)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

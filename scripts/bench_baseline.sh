@@ -21,10 +21,10 @@
 #     into warmup) into BENCH_compile.json, and
 #   * bench_persist (the warm-start tier: cold vs warm time-to-first-verdict
 #     — the warm restart must win by >= 10x — the transitive-chain stitch
-#     conversion with its 30% floor enforced in-bench, the mmap-open vs
-#     heap-rebuild twin, and the non-identity remap load: the same snapshot
-#     adopted into a shifted label pool must still serve cache hits with
-#     snapshot_trees_mapped == 0) into BENCH_persist.json, and
+#     conversion with its 30% floor enforced in-bench, and the
+#     non-identity remap load: the same snapshot loaded into a shifted
+#     label pool must still serve cache hits, the refutation replayed from
+#     its stored chain lengths) into BENCH_persist.json, and
 #   * bench_group (the grouped canonical sweep: one `ContainsGroup` call vs
 #     a loop of independent `Contains` calls, rebuilds-per-decision across
 #     group sizes — the in-bench amortization floor skips-with-error unless

@@ -6,7 +6,9 @@
 #
 # Usage:
 #   scripts/check.sh                 tier-1 gate (release, asan, tsan)
-#   scripts/check.sh <preset>        one preset (release|asan|tsan|ubsan)
+#   scripts/check.sh <preset>        one preset (release|asan|tsan|ubsan);
+#                                    release rebuilds from clean and fails
+#                                    if its build log has a `warning:`
 #   scripts/check.sh faults          the failure-model gate: the fault
 #                                    matrix, exhaustion audit, parser
 #                                    mutation and daemon fault suites under
@@ -21,7 +23,7 @@
 #                                    cache suite, the whole-enumeration
 #                                    sweep suites (incremental, Table 1) and
 #                                    the service and snapshot suites (the
-#                                    probe cascade and the mapped-tree check
+#                                    probe cascade and the refutation replay
 #                                    share the single-tree match) under asan
 #                                    AND ubsan (out-of-bounds column reads,
 #                                    shift UB in the fold kernels and fused
@@ -39,9 +41,9 @@
 #                                    round-trip/corruption suite, the
 #                                    lattice agreement suite and the service
 #                                    fault matrix under asan AND ubsan
-#                                    (mmap lifetime/out-of-bounds reads over
-#                                    the mapped columns, unaligned-load UB
-#                                    in the record cursors)
+#                                    (out-of-bounds reads over the file
+#                                    image, unaligned-load UB in the record
+#                                    cursors)
 #   scripts/check.sh group           the dispatcher-and-sweep gate: the
 #                                    500-instance grouped-vs-solo agreement
 #                                    suite (with its naive reference sweep),
@@ -83,7 +85,19 @@ run_preset() {
   local preset="$1"; shift
   echo "== preset: $preset =="
   cmake --preset "$preset"
-  cmake --build --preset "$preset" -j "$(nproc)"
+  if [[ $preset == release ]]; then
+    # Every translation unit is recompiled, so the log holds every warning;
+    # any warning fails the gate, so none can accumulate.
+    local log=build/check-build.log
+    cmake --build --preset "$preset" -j "$(nproc)" --clean-first 2>&1 |
+      tee "$log"
+    if grep -q 'warning:' "$log"; then
+      echo "check.sh: the release build printed warnings (see $log)" >&2
+      exit 1
+    fi
+  else
+    cmake --build --preset "$preset" -j "$(nproc)"
+  fi
   ctest --preset "$preset" -j "$(nproc)" "$@"
 }
 

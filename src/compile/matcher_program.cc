@@ -151,21 +151,15 @@ void ProgramSweep::Report(const MatcherProgram& program, int32_t filled,
 
 void ProgramSweep::EvalFull(const MatcherProgram& program, const Tree& t,
                             EngineStats* stats) {
-  EvalFull(program, t.View(), stats);
-  t_ = &t;
-}
-
-void ProgramSweep::EvalFull(const MatcherProgram& program,
-                            const TreeView& view, EngineStats* stats) {
   program_ = &program;
-  t_ = nullptr;
-  view_ = view;
-  sat_.resize(static_cast<size_t>(view.size()));
-  desc_.resize(static_cast<size_t>(view.size()));
+  t_ = &t;
+  view_ = t.View();
+  sat_.resize(static_cast<size_t>(t.size()));
+  desc_.resize(static_cast<size_t>(t.size()));
   words_folded_ = 0;
   rows_skipped_ = 0;
   ComputeColumns(program, 0);
-  Report(program, view.size(), 0, stats);
+  Report(program, t.size(), 0, stats);
 }
 
 void ProgramSweep::EvalIncremental(const MatcherProgram& program,

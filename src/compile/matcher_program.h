@@ -173,24 +173,17 @@ class ProgramSweep {
   }
 
   /// The soft twin, for the single-tree match that has the generic DP to
-  /// fall back on: `column_bytes` is the tree's columnar storage
-  /// (`Tree::ColumnBytes`, or `TreeView::AdoptedBytes` for a mapped view).
-  /// A refusal (memory limit, injected fault) charges nothing and does not
-  /// exhaust the budget.
-  bool TryChargeTables(int32_t n, int64_t column_bytes, Budget* budget) {
+  /// fall back on.  A refusal (memory limit, injected fault) charges nothing
+  /// and does not exhaust the budget.
+  bool TryChargeTables(const Tree& t, Budget* budget) {
     tracked_.Attach(budget);
-    return tracked_.TryReserve(TableBytes(n, column_bytes));
+    return tracked_.TryReserve(TableBytes(t.size(), t.ColumnBytes()));
   }
 
   /// Evaluates from scratch.  With a non-null `stats`, reports one
   /// attempted embedding, the logical DP size, the kernel work counters and
   /// one `program_exec_hits`.
   void EvalFull(const MatcherProgram& program, const Tree& t,
-                EngineStats* stats = nullptr);
-
-  /// Evaluates from scratch over bare columns — a snapshot tree's adopted
-  /// view.  `EvalIncremental` cannot follow this call.
-  void EvalFull(const MatcherProgram& program, const TreeView& view,
                 EngineStats* stats = nullptr);
 
   /// Re-evaluates after an incremental rebuild; same precondition as

@@ -97,14 +97,6 @@ class SweepBank {
 std::optional<bool> MatchTree(const Tpq& q, const MatcherProgram* program,
                               const Tree& t, bool strong, EngineContext* ctx);
 
-/// The mapped-tree overload: `view` is a snapshot tree's adopted columns,
-/// which only a compiled program runs over.  Nullopt when the step charge
-/// (exhausting the budget) or the soft table charge (not exhausting it) was
-/// refused; the caller then falls back to a rebuilt tree.
-std::optional<bool> MatchTree(const MatcherProgram& program,
-                              const TreeView& view, bool strong,
-                              EngineContext* ctx);
-
 }  // namespace tpc
 
 #endif  // TPC_COMPILE_SWEEP_BANK_H_

@@ -40,7 +40,6 @@ void EngineStats::Reset() {
   batch_deduped.store(0, std::memory_order_relaxed);
   lattice_stitch_hits.store(0, std::memory_order_relaxed);
   witness_borrow_refutes.store(0, std::memory_order_relaxed);
-  snapshot_trees_mapped.store(0, std::memory_order_relaxed);
   sweep_groups_formed.store(0, std::memory_order_relaxed);
   sweep_group_members.store(0, std::memory_order_relaxed);
   group_members_retired_early.store(0, std::memory_order_relaxed);
@@ -82,7 +81,6 @@ void EngineStats::MergeFrom(const EngineStats& other) {
   add(batch_deduped, other.batch_deduped);
   add(lattice_stitch_hits, other.lattice_stitch_hits);
   add(witness_borrow_refutes, other.witness_borrow_refutes);
-  add(snapshot_trees_mapped, other.snapshot_trees_mapped);
   add(sweep_groups_formed, other.sweep_groups_formed);
   add(sweep_group_members, other.sweep_group_members);
   add(group_members_retired_early, other.group_members_retired_early);
@@ -163,7 +161,6 @@ std::string EngineStats::ToJson(const Budget& budget) const {
   AppendGroup(
       {
           {"lattice_stitch_hits", v(lattice_stitch_hits)},
-          {"snapshot_trees_mapped", v(snapshot_trees_mapped)},
           {"witness_borrow_refutes", v(witness_borrow_refutes)},
       },
       &out);

@@ -91,9 +91,6 @@ struct EngineStats {
   /// counterexample witness against the live pair (replay-validated, so a
   /// borrowed witness can never fake a refutation).
   std::atomic<int64_t> witness_borrow_refutes{0};
-  /// Snapshot trees served zero-copy as `TreeView`s over the mapped file
-  /// (witness validations that skipped the canonical-tree rebuild).
-  std::atomic<int64_t> snapshot_trees_mapped{0};
 
   // Grouped canonical sweep (`ContainsGroup` under `force_canonical`).
   /// Shared sweeps formed: one per canonical-route group of >= 2 members

@@ -1,13 +1,13 @@
 #include "persist/snapshot.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <cassert>
 #include <cstdio>
 #include <cstring>
+#include <new>
 
 namespace tpc {
 namespace {
@@ -22,10 +22,12 @@ constexpr size_t kOffEndian = 12;
 constexpr size_t kOffFileBytes = 16;
 constexpr size_t kOffChecksum = 24;
 constexpr size_t kOffLabelCount = 32;
-constexpr size_t kOffTreeCount = 36;
-constexpr size_t kOffPatternCount = 40;
-constexpr size_t kOffVerdictCount = 44;
-constexpr size_t kOffHotCount = 48;
+constexpr size_t kOffPatternCount = 36;
+constexpr size_t kOffVerdictCount = 40;
+constexpr size_t kOffHotCount = 44;
+// Bytes 32-63 — the section counts and the zero reserved tail — are
+// checksummed along with the payload.
+constexpr size_t kOffChecked = 32;
 
 void AppendU32(std::string* out, uint32_t v) {
   out->append(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -41,7 +43,7 @@ void AppendI32(std::string* out, int32_t v) {
 
 /// Pads `out` with zero bytes to the next multiple of 8, so every entry —
 /// and therefore every column inside it — lands on an aligned offset in the
-/// mapped file.
+/// file image.
 void PadTo8(std::string* out) {
   while (out->size() % 8 != 0) out->push_back('\0');
 }
@@ -66,7 +68,7 @@ void PutU64(std::string* buf, size_t off, uint64_t v) {
   std::memcpy(buf->data() + off, &v, sizeof(v));
 }
 
-/// Bounds-checked forward scanner over the mapped payload.  Every accessor
+/// Bounds-checked forward scanner over the payload.  Every accessor
 /// fails (returns false) instead of reading past `size`, so a truncated or
 /// lying section table can never form an out-of-range pointer.
 struct Cursor {
@@ -87,7 +89,7 @@ struct Cursor {
     return true;
   }
   /// Claims `count` elements of `elem_bytes` each; `*p` points into the
-  /// mapping.  The caller guarantees 4-byte element types only start at
+  /// image.  The caller guarantees 4-byte element types only start at
   /// 4-aligned offsets (the writer's padding discipline ensures it; the
   /// assert documents it).
   bool Array(uint64_t count, uint64_t elem_bytes, const uint8_t** p) {
@@ -111,18 +113,16 @@ bool Fail(std::string* error, const std::string& reason) {
 }
 
 // Smallest encoding of one record per section (8-byte aligned, as written):
-// an empty label spelling, a one-node tree (six 4-byte columns), a one-node
-// pattern (24-byte header + 9 bytes of columns), a verdict without witness,
-// and a hot-program entry.
+// an empty label spelling, a one-node pattern (24-byte header + 9 bytes of
+// columns), a verdict without witness, and a hot-program entry.
 constexpr uint64_t kMinLabelBytes = 8;
-constexpr uint64_t kMinTreeBytes = 32;
 constexpr uint64_t kMinPatternBytes = 40;
-constexpr uint64_t kMinVerdictBytes = 24;
+constexpr uint64_t kMinVerdictBytes = 16;
 constexpr uint64_t kMinHotProgramBytes = 8;
 
-/// The section counts sit in the header, outside the payload checksum, so a
-/// corrupt count must be bounded by what the rest of the payload can hold
-/// before it sizes an allocation.
+/// A checksum is not authentication: a crafted file can carry huge section
+/// counts under a matching checksum, so every count is bounded by what the
+/// rest of the payload can hold before it sizes an allocation.
 bool CountFits(const Cursor& cur, uint32_t count, uint64_t min_record_bytes,
                const char* section, std::string* error) {
   if (count <= (cur.size - cur.off) / min_record_bytes) return true;
@@ -166,28 +166,6 @@ bool SnapshotWriter::SetLabels(const LabelPool& pool) {
   return true;
 }
 
-std::optional<uint32_t> SnapshotWriter::AddTree(const Tree& t) {
-  if (t.empty()) return std::nullopt;
-  const TreeView view = t.View();
-  const int32_t n = view.size();
-  std::string entry;
-  entry.reserve(8 + static_cast<size_t>(n) * 24 + 8);
-  AppendU32(&entry, static_cast<uint32_t>(n));
-  AppendU32(&entry, 0);  // pad: keep the columns 8-aligned
-  auto col = [&entry, n](const void* data, size_t elem) {
-    entry.append(static_cast<const char*>(data), static_cast<size_t>(n) * elem);
-  };
-  col(view.labels(), sizeof(LabelId));
-  col(view.parent(), sizeof(NodeId));
-  col(view.post_of(), sizeof(int32_t));
-  col(view.node_at_post(), sizeof(NodeId));
-  col(view.size_at_post(), sizeof(int32_t));
-  col(view.label_at_post(), sizeof(LabelId));
-  PadTo8(&entry);
-  if (!AppendEntry(&trees_, entry, &tree_count_)) return std::nullopt;
-  return tree_count_ - 1;
-}
-
 std::optional<uint32_t> SnapshotWriter::AddPattern(const Tpq& p,
                                                    const TpqDigest& digest) {
   if (p.empty()) return std::nullopt;
@@ -210,7 +188,6 @@ std::optional<uint32_t> SnapshotWriter::AddPattern(const Tpq& p,
 
 bool SnapshotWriter::AddVerdict(const SnapshotVerdict& verdict) {
   assert(verdict.p_index < pattern_count_ && verdict.q_index < pattern_count_);
-  assert(verdict.tree_index < static_cast<int32_t>(tree_count_));
   std::string entry;
   AppendU32(&entry, verdict.p_index);
   AppendU32(&entry, verdict.q_index);
@@ -218,7 +195,6 @@ bool SnapshotWriter::AddVerdict(const SnapshotVerdict& verdict) {
   entry.push_back(static_cast<char>(verdict.bound_tag));
   entry.push_back(verdict.contained ? 1 : 0);
   entry.push_back(static_cast<char>(verdict.algorithm_tag));
-  AppendI32(&entry, verdict.tree_index);
   AppendU32(&entry, static_cast<uint32_t>(verdict.witness.size()));
   for (int32_t len : verdict.witness) AppendI32(&entry, len);
   PadTo8(&entry);
@@ -237,26 +213,25 @@ bool SnapshotWriter::WriteTo(const std::string& path, std::string* error) {
   if (!have_labels_) {
     return Fail(error, "writer has no label section (SetLabels failed/missing)");
   }
-  const std::string* sections[] = {&labels_, &trees_, &patterns_, &verdicts_,
+  const std::string* sections[] = {&labels_, &patterns_, &verdicts_,
                                    &hot_programs_};
-  uint64_t payload_bytes = 0;
-  uint64_t checksum = kFnvSeed;
-  for (const std::string* s : sections) {
-    payload_bytes += s->size();
-    checksum = Fnv1a(checksum, s->data(), s->size());
-  }
-
   std::string header(kHeaderBytes, '\0');
   std::memcpy(header.data(), kMagic, sizeof(kMagic));
   PutU32(&header, kOffVersion, kSnapshotFormatVersion);
   PutU32(&header, kOffEndian, kEndianTag);
-  PutU64(&header, kOffFileBytes, kHeaderBytes + payload_bytes);
-  PutU64(&header, kOffChecksum, checksum);
   PutU32(&header, kOffLabelCount, label_count_);
-  PutU32(&header, kOffTreeCount, tree_count_);
   PutU32(&header, kOffPatternCount, pattern_count_);
   PutU32(&header, kOffVerdictCount, verdict_count_);
   PutU32(&header, kOffHotCount, hot_program_count_);
+  uint64_t file_bytes = kHeaderBytes;
+  uint64_t checksum = Fnv1a(kFnvSeed, header.data() + kOffChecked,
+                            kHeaderBytes - kOffChecked);
+  for (const std::string* s : sections) {
+    file_bytes += s->size();
+    checksum = Fnv1a(checksum, s->data(), s->size());
+  }
+  PutU64(&header, kOffFileBytes, file_bytes);
+  PutU64(&header, kOffChecksum, checksum);
 
   // Temp file + rename: a reader either sees the previous snapshot or the
   // complete new one, never a prefix.
@@ -282,18 +257,11 @@ bool SnapshotWriter::WriteTo(const std::string& path, std::string* error) {
 SnapshotReader::~SnapshotReader() { Close(); }
 
 void SnapshotReader::Close() {
-  if (base_ != nullptr && is_mmap_) {
-    ::munmap(const_cast<uint8_t*>(base_), static_cast<size_t>(mapped_bytes_));
-  }
-  base_ = nullptr;
-  is_mmap_ = false;
-  mapped_bytes_ = 0;
-  heap_.clear();
-  heap_.shrink_to_fit();
+  image_.clear();
+  image_.shrink_to_fit();
   tracked_.ReleaseAll();
   label_count_ = 0;
   labels_.clear();
-  trees_.clear();
   patterns_.clear();
   verdicts_.clear();
   hot_programs_.clear();
@@ -318,35 +286,28 @@ bool SnapshotReader::Open(const std::string& path, Budget* budget,
   }
   if (!tracked_.TryCharge(file_bytes)) {
     ::close(fd);
-    return Fail(error, "byte budget refused the mapping");
+    return Fail(error, "byte budget refused the file image");
   }
-
-  void* mapped = ::mmap(nullptr, static_cast<size_t>(file_bytes), PROT_READ,
-                        MAP_PRIVATE, fd, 0);
-  if (mapped != MAP_FAILED) {
-    base_ = static_cast<const uint8_t*>(mapped);
-    is_mmap_ = true;
+  try {
+    image_.resize(static_cast<size_t>(file_bytes));
+  } catch (const std::bad_alloc&) {
     ::close(fd);
-  } else {
-    // Filesystems without mmap support: fall back to a heap image.  Same
-    // validation, same accessors; only the zero-copy property is lost.
-    heap_.resize(static_cast<size_t>(file_bytes));
-    int64_t done = 0;
-    while (done < file_bytes) {
-      const ssize_t got = ::pread(fd, heap_.data() + done,
-                                  static_cast<size_t>(file_bytes - done), done);
-      if (got <= 0) {
-        ::close(fd);
-        Close();
-        return Fail(error, "short read from " + path);
-      }
-      done += got;
+    Close();
+    return Fail(error, "cannot allocate the " + std::to_string(file_bytes) +
+                           "-byte file image");
+  }
+  int64_t done = 0;
+  while (done < file_bytes) {
+    const ssize_t got = ::pread(fd, image_.data() + done,
+                                static_cast<size_t>(file_bytes - done), done);
+    if (got <= 0) {
+      ::close(fd);
+      Close();
+      return Fail(error, "short read from " + path);
     }
-    ::close(fd);
-    base_ = heap_.data();
-    is_mmap_ = false;
+    done += got;
   }
-  mapped_bytes_ = file_bytes;
+  ::close(fd);
 
   if (!Validate(error)) {
     Close();
@@ -356,20 +317,21 @@ bool SnapshotReader::Open(const std::string& path, Budget* budget,
 }
 
 bool SnapshotReader::Validate(std::string* error) {
-  if (std::memcmp(base_, kMagic, sizeof(kMagic)) != 0) {
+  const uint8_t* base = image_.data();
+  const uint64_t size = image_.size();
+  if (std::memcmp(base, kMagic, sizeof(kMagic)) != 0) {
     return Fail(error, "bad magic (not a TPC snapshot)");
   }
-  uint32_t version, endian, verdict_count, hot_count, tree_count, pat_count;
+  uint32_t version, endian, verdict_count, hot_count, pat_count;
   uint64_t file_bytes, checksum;
-  std::memcpy(&version, base_ + kOffVersion, 4);
-  std::memcpy(&endian, base_ + kOffEndian, 4);
-  std::memcpy(&file_bytes, base_ + kOffFileBytes, 8);
-  std::memcpy(&checksum, base_ + kOffChecksum, 8);
-  std::memcpy(&label_count_, base_ + kOffLabelCount, 4);
-  std::memcpy(&tree_count, base_ + kOffTreeCount, 4);
-  std::memcpy(&pat_count, base_ + kOffPatternCount, 4);
-  std::memcpy(&verdict_count, base_ + kOffVerdictCount, 4);
-  std::memcpy(&hot_count, base_ + kOffHotCount, 4);
+  std::memcpy(&version, base + kOffVersion, 4);
+  std::memcpy(&endian, base + kOffEndian, 4);
+  std::memcpy(&file_bytes, base + kOffFileBytes, 8);
+  std::memcpy(&checksum, base + kOffChecksum, 8);
+  std::memcpy(&label_count_, base + kOffLabelCount, 4);
+  std::memcpy(&pat_count, base + kOffPatternCount, 4);
+  std::memcpy(&verdict_count, base + kOffVerdictCount, 4);
+  std::memcpy(&hot_count, base + kOffHotCount, 4);
 
   if (version != kSnapshotFormatVersion) {
     return Fail(error, "format version skew: file has v" +
@@ -379,28 +341,26 @@ bool SnapshotReader::Validate(std::string* error) {
   if (endian != kEndianTag) {
     return Fail(error, "endianness mismatch (foreign byte order)");
   }
-  if (file_bytes != static_cast<uint64_t>(mapped_bytes_)) {
+  if (file_bytes != size) {
     return Fail(error, "truncated: header declares " +
                            std::to_string(file_bytes) + " bytes, file has " +
-                           std::to_string(mapped_bytes_));
+                           std::to_string(size));
   }
   const uint64_t actual =
-      Fnv1a(kFnvSeed, base_ + kHeaderBytes,
-            static_cast<size_t>(mapped_bytes_) - kHeaderBytes);
+      Fnv1a(kFnvSeed, base + kOffChecked, static_cast<size_t>(size) - kOffChecked);
   if (actual != checksum) {
-    return Fail(error, "payload checksum mismatch (corrupt file)");
+    return Fail(error, "checksum mismatch (corrupt file)");
   }
-  // Reserved header tail must be zero — it is the only region the payload
-  // checksum does not cover, and a future version may assign it meaning.
+  // The reserved header tail must be zero: a future version may assign it
+  // meaning.
   for (uint64_t i = kOffHotCount + 4; i < kHeaderBytes; ++i) {
-    if (base_[i] != 0) {
+    if (base[i] != 0) {
       return Fail(error, "nonzero reserved header bytes (corrupt file)");
     }
   }
   if (label_count_ == 0) return Fail(error, "empty label section");
 
-  Cursor cur{base_ + kHeaderBytes,
-             static_cast<uint64_t>(mapped_bytes_) - kHeaderBytes};
+  Cursor cur{base + kHeaderBytes, size - kHeaderBytes};
 
   // Labels: spellings in id order; id 0 must be the wildcard.
   if (!CountFits(cur, label_count_, kMinLabelBytes, "label", error)) {
@@ -416,45 +376,6 @@ bool SnapshotReader::Validate(std::string* error) {
     labels_.emplace_back(reinterpret_cast<const char*>(bytes), len);
   }
   if (labels_[0] != "*") return Fail(error, "label id 0 is not the wildcard");
-
-  // Trees: six columns each, then the full invariant check.
-  if (!CountFits(cur, tree_count, kMinTreeBytes, "tree", error)) {
-    return false;
-  }
-  trees_.reserve(tree_count);
-  for (uint32_t i = 0; i < tree_count; ++i) {
-    uint32_t n, pad;
-    if (!cur.U32(&n) || !cur.U32(&pad) || n == 0 ||
-        n > static_cast<uint32_t>(INT32_MAX)) {
-      return Fail(error, "tree " + std::to_string(i) + ": bad node count");
-    }
-    TreeColumns t;
-    t.n = static_cast<int32_t>(n);
-    const uint8_t* p;
-    auto take = [&cur, &p, n](const void** out) {
-      if (!cur.Array(n, 4, &p)) return false;
-      *out = p;
-      return true;
-    };
-    const void* cols[6];
-    for (auto& c : cols) {
-      if (!take(&c)) {
-        return Fail(error, "tree " + std::to_string(i) + " overruns the file");
-      }
-    }
-    if (!cur.Align8()) return Fail(error, "tree section overruns the file");
-    t.labels = static_cast<const LabelId*>(cols[0]);
-    t.parent = static_cast<const NodeId*>(cols[1]);
-    t.post_of = static_cast<const int32_t*>(cols[2]);
-    t.node_at_post = static_cast<const NodeId*>(cols[3]);
-    t.size_at_post = static_cast<const int32_t*>(cols[4]);
-    t.label_at_post = static_cast<const LabelId*>(cols[5]);
-    std::string why;
-    if (!ValidateTree(t, &why)) {
-      return Fail(error, "tree " + std::to_string(i) + ": " + why);
-    }
-    trees_.push_back(t);
-  }
 
   // Patterns.
   if (!CountFits(cur, pat_count, kMinPatternBytes, "pattern", error)) {
@@ -523,12 +444,8 @@ bool SnapshotReader::Validate(std::string* error) {
     rec.bound_tag = raw[1];
     rec.contained = raw[2] != 0;
     rec.algorithm_tag = raw[3];
-    uint32_t tree_index_raw;
-    if (!cur.U32(&tree_index_raw) || !cur.U32(&witness_len)) {
-      return Fail(error, "verdict " + std::to_string(i) + " overruns the file");
-    }
-    rec.tree_index = static_cast<int32_t>(tree_index_raw);
-    if (!cur.Array(witness_len, sizeof(int32_t), &p) || !cur.Align8()) {
+    if (!cur.U32(&witness_len) ||
+        !cur.Array(witness_len, sizeof(int32_t), &p) || !cur.Align8()) {
       return Fail(error, "verdict " + std::to_string(i) + " overruns the file");
     }
     rec.witness = reinterpret_cast<const int32_t*>(p);
@@ -536,10 +453,6 @@ bool SnapshotReader::Validate(std::string* error) {
     if (rec.p_index >= pat_count || rec.q_index >= pat_count) {
       return Fail(error,
                   "verdict " + std::to_string(i) + ": pattern index oob");
-    }
-    if (rec.tree_index < -1 ||
-        rec.tree_index >= static_cast<int32_t>(tree_count)) {
-      return Fail(error, "verdict " + std::to_string(i) + ": tree index oob");
     }
     verdicts_.push_back(rec);
   }
@@ -562,65 +475,6 @@ bool SnapshotReader::Validate(std::string* error) {
 
   if (cur.off != cur.size) {
     return Fail(error, "trailing bytes after the last section");
-  }
-  return true;
-}
-
-bool SnapshotReader::ValidateTree(const TreeColumns& t,
-                                  std::string* error) const {
-  const int32_t n = t.n;
-  // 1. Parents precede children; node 0 is the root.
-  if (t.parent[0] != kNoNode) return Fail(error, "root has a parent");
-  for (int32_t v = 1; v < n; ++v) {
-    if (t.parent[v] < 0 || t.parent[v] >= v) {
-      return Fail(error, "parent does not precede child");
-    }
-  }
-  // 2. Labels resolvable, postorder maps mutually inverse.
-  for (int32_t v = 0; v < n; ++v) {
-    if (t.labels[v] >= label_count_) return Fail(error, "label out of range");
-    const int32_t pv = t.post_of[v];
-    if (pv < 0 || pv >= n) return Fail(error, "postorder position oob");
-    if (t.node_at_post[pv] != v) {
-      return Fail(error, "post_of/node_at_post not inverse");
-    }
-    if (t.label_at_post[pv] != t.labels[v]) {
-      return Fail(error, "label mirror mismatch");
-    }
-  }
-  // 3. Subtree sizes recomputed from the parent column must match, and every
-  //    span must stay inside [0, n).
-  std::vector<int32_t> sz(n, 1);
-  for (int32_t v = n - 1; v >= 1; --v) sz[t.parent[v]] += sz[v];
-  for (int32_t v = 0; v < n; ++v) {
-    const int32_t pv = t.post_of[v];
-    if (t.size_at_post[pv] != sz[v]) return Fail(error, "subtree size wrong");
-    if (pv - sz[v] + 1 < 0) return Fail(error, "subtree span underflows");
-  }
-  // 4. Child spans nest strictly inside the parent's span.
-  for (int32_t v = 1; v < n; ++v) {
-    const int32_t pv = t.post_of[v];
-    const int32_t pp = t.post_of[t.parent[v]];
-    if (pv >= pp || pv - sz[v] < pp - sz[t.parent[v]]) {
-      return Fail(error, "subtree spans not nested");
-    }
-  }
-  // 5. The sibling span-jump walk (TreeView::LastChild/PrevSibling) must
-  //    visit exactly the children the parent column declares — this is what
-  //    makes the postorder *real* and every matcher traversal in-bounds.
-  std::vector<int32_t> nchild(n, 0);
-  for (int32_t v = 1; v < n; ++v) ++nchild[t.parent[v]];
-  for (int32_t i = 0; i < n; ++i) {
-    const NodeId v = t.node_at_post[i];
-    const int32_t begin = i - t.size_at_post[i] + 1;
-    int32_t walked = 0;
-    for (int32_t c = i - 1; c >= begin; c -= t.size_at_post[c]) {
-      if (t.parent[t.node_at_post[c]] != v) {
-        return Fail(error, "span walk crosses a foreign subtree");
-      }
-      ++walked;
-    }
-    if (walked != nchild[v]) return Fail(error, "span walk misses children");
   }
   return true;
 }

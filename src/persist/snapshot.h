@@ -1,44 +1,42 @@
-// Versioned, checksummed, mmap-able columnar snapshots — the persistent
-// warm-start tier's file format.
+// Versioned, checksummed columnar snapshots — the persistent warm-start
+// tier's file format.
 //
 // A snapshot is an on-disk image of the state the query service accumulates
 // over a workload and loses on restart: cached containment verdicts, the
-// minimized patterns they are keyed on, the canonical counterexample trees
-// of cached refutations, and the hot keys of the compiled-program pool.
-// Trees are stored as their postorder SoA columns (tree/tree.h) verbatim —
-// the Bille–Gørtz-style layout is already a set of raw spans, so
-// serialization is a header plus column dumps and *loading a tree is
-// O(mmap)*: `SnapshotReader::TreeAt` returns a zero-copy `TreeView` aimed
-// directly at the mapped file, validated once at open.
+// minimized patterns they are keyed on, and the hot keys of the
+// compiled-program pool.  A cached refutation is stored only as its
+// certificate, the chain-length vector that fixes one canonical model of p
+// (Thm 3.3); the service rebuilds that model and re-matches q before it
+// serves the refutation, so the file never carries a tree.
 //
 // Trust model: a snapshot is data, not authority.  The container is
-// checksummed (FNV-1a over the payload) and versioned, every section is
-// bounds-checked against the mapping before any pointer is formed, and
-// every tree's columns are validated against the full `Tree` invariant set
-// (parents precede children, post_of/node_at_post mutually inverse, subtree
-// spans nested, sibling span-jumps reproduce the parent array, label
-// mirrors consistent) so a corrupt, truncated or adversarially crafted file
+// checksummed (FNV-1a over header bytes 32-63 and the payload) and
+// versioned, each section count is bounded by what the remaining bytes can
+// hold before it sizes an allocation (a checksum is not authentication),
+// and every record is bounds-checked against the file image before any
+// pointer is formed, so a corrupt, truncated or adversarially crafted file
 // is rejected with a diagnostic — never undefined behaviour.  Above the
 // container, the service re-derives all *semantic* trust at load: pattern
 // digests are recomputed and compared (128-bit, pattern/tpq_hash.h), and
 // refutation witnesses are only ever served through replay validation.
 //
 // Layout (all integers native-endian; a header tag rejects foreign
-// endianness; every column offset is 4-byte aligned, sections 8-byte):
+// endianness; every record is 8-byte aligned):
 //
 //   header (64 B): magic "TPCSNAP\0", format version, endian tag,
-//                  total file bytes, payload checksum, section counts
-//   labels:    count * (u32 len, bytes, pad4)       — pool spellings, id order
-//   trees:     count * (u32 n, pad, 6 columns * n)  — postorder SoA columns
+//                  total file bytes, checksum, section counts (bytes 32-47),
+//                  zero reserved tail (bytes 48-63)
+//   labels:    count * (u32 len, bytes, pad8)       — pool spellings, id order
 //   patterns:  count * (u32 n, pad, digest128, labels, parents, edges)
 //   verdicts:  count * (p_idx, q_idx, mode, bound, contained, algorithm,
-//                       tree_idx, witness length vector)
+//                       witness length vector)
 //   hot programs: count * (pattern_idx, mode_tag)
 //
 // Byte accounting is *soft* end to end (`TrackedBytes::TryCharge`): a
 // memory limit or an injected allocation fault mid-write or mid-load
 // refuses cleanly — the writer never emits a partial entry, the reader
-// unmaps and reports failure — and the service degrades to a cold start.
+// frees its image and reports failure — and the service degrades to a cold
+// start.
 
 #ifndef TPC_PERSIST_SNAPSHOT_H_
 #define TPC_PERSIST_SNAPSHOT_H_
@@ -53,12 +51,11 @@
 #include "engine/tracked.h"
 #include "pattern/tpq.h"
 #include "pattern/tpq_hash.h"
-#include "tree/tree.h"
 
 namespace tpc {
 
 /// Bumped on any incompatible layout change; readers reject other versions.
-inline constexpr uint32_t kSnapshotFormatVersion = 1;
+inline constexpr uint32_t kSnapshotFormatVersion = 2;
 
 /// One cached containment verdict, keyed by pattern-pool indices (exact —
 /// no hash trust inside the file).
@@ -69,10 +66,8 @@ struct SnapshotVerdict {
   uint8_t bound_tag = 0;      // numeric value of ContainmentOptions::Bound
   bool contained = false;
   uint8_t algorithm_tag = 0;  // numeric value of ContainmentAlgorithm
-  /// Index of the refutation's canonical counterexample tree in the tree
-  /// section, or -1.  Only refutations carry trees.
-  int32_t tree_index = -1;
-  /// Spine chain lengths of the counterexample (empty for containments).
+  /// Chain lengths of the counterexample canonical model (empty for
+  /// containments).
   std::vector<int32_t> witness;
 };
 
@@ -97,21 +92,16 @@ class SnapshotWriter {
   /// refusal (the writer is then label-less and `WriteTo` will refuse).
   bool SetLabels(const LabelPool& pool);
 
-  /// Serializes the postorder columns of `t`.  Returns the tree's index, or
-  /// nullopt when the charge was refused or `t` is empty.
-  std::optional<uint32_t> AddTree(const Tree& t);
-
   /// Serializes `p` (labels, parents, edge kinds) plus its wide digest.
   /// Returns the pattern's index, or nullopt on refusal / empty pattern.
   std::optional<uint32_t> AddPattern(const Tpq& p, const TpqDigest& digest);
 
-  /// Appends a verdict.  Precondition: the referenced pattern/tree indices
+  /// Appends a verdict.  Precondition: the referenced pattern indices
   /// were returned by this writer.  False on charge refusal.
   bool AddVerdict(const SnapshotVerdict& verdict);
 
   bool AddHotProgram(const SnapshotHotProgram& hot);
 
-  uint32_t tree_count() const { return tree_count_; }
   uint32_t pattern_count() const { return pattern_count_; }
   uint32_t verdict_count() const { return verdict_count_; }
 
@@ -127,22 +117,20 @@ class SnapshotWriter {
   TrackedBytes tracked_;
   bool have_labels_ = false;
   std::string labels_;
-  std::string trees_;
   std::string patterns_;
   std::string verdicts_;
   std::string hot_programs_;
   uint32_t label_count_ = 0;
-  uint32_t tree_count_ = 0;
   uint32_t pattern_count_ = 0;
   uint32_t verdict_count_ = 0;
   uint32_t hot_program_count_ = 0;
 };
 
-/// Maps a snapshot read-only and validates the whole container up front;
-/// afterwards every accessor is a bounds-safe pointer into the mapping.
-/// The mapping's bytes are soft-charged to the budget passed to `Open` and
-/// released on `Close`/destruction.  Accessors must not be called unless
-/// `Open` returned true; views returned by `TreeAt` die with the reader.
+/// Reads a snapshot into one buffer and validates the whole container up
+/// front; afterwards every accessor is a bounds-safe pointer into that
+/// buffer.  The buffer's bytes are soft-charged to the budget passed to
+/// `Open` and released on `Close`/destruction.  Accessors must not be called
+/// unless `Open` returned true; the records they return die with the reader.
 class SnapshotReader {
  public:
   SnapshotReader() = default;
@@ -151,27 +139,18 @@ class SnapshotReader {
   SnapshotReader(const SnapshotReader&) = delete;
   SnapshotReader& operator=(const SnapshotReader&) = delete;
 
-  /// Maps and validates `path`.  False on I/O failure, version/endianness
+  /// Reads and validates `path`.  False on I/O failure, version/endianness
   /// skew, truncation, checksum mismatch, malformed sections, or a refused
-  /// byte charge — with `*error` naming the reason and nothing mapped.
+  /// byte charge — with `*error` naming the reason and nothing held.
   bool Open(const std::string& path, Budget* budget, std::string* error);
 
-  /// Unmaps and releases the byte charge (idempotent).
+  /// Frees the buffer and releases the byte charge (idempotent).
   void Close();
 
-  bool is_open() const { return base_ != nullptr; }
-  int64_t mapped_bytes() const { return mapped_bytes_; }
+  bool is_open() const { return !image_.empty(); }
 
   uint32_t label_count() const { return label_count_; }
   std::string_view LabelAt(uint32_t i) const { return labels_[i]; }
-
-  uint32_t tree_count() const { return static_cast<uint32_t>(trees_.size()); }
-  /// Zero-copy view over the mapped columns of tree `i` (validated at Open).
-  TreeView TreeAt(uint32_t i) const {
-    const TreeColumns& t = trees_[i];
-    return TreeView::Adopt(t.labels, t.parent, t.post_of, t.node_at_post,
-                           t.size_at_post, t.label_at_post, t.n);
-  }
 
   struct PatternRecord {
     int32_t n = 0;
@@ -192,7 +171,6 @@ class SnapshotReader {
     uint8_t bound_tag = 0;
     bool contained = false;
     uint8_t algorithm_tag = 0;
-    int32_t tree_index = -1;
     const int32_t* witness = nullptr;
     uint32_t witness_len = 0;
   };
@@ -209,28 +187,13 @@ class SnapshotReader {
   }
 
  private:
-  struct TreeColumns {
-    int32_t n = 0;
-    const LabelId* labels = nullptr;
-    const NodeId* parent = nullptr;
-    const int32_t* post_of = nullptr;
-    const NodeId* node_at_post = nullptr;
-    const int32_t* size_at_post = nullptr;
-    const LabelId* label_at_post = nullptr;
-  };
-
   bool Validate(std::string* error);
-  bool ValidateTree(const TreeColumns& t, std::string* error) const;
 
-  const uint8_t* base_ = nullptr;
-  int64_t mapped_bytes_ = 0;
-  bool is_mmap_ = false;       // else heap fallback buffer
-  std::vector<uint8_t> heap_;  // fallback storage when mmap is unavailable
+  std::vector<uint8_t> image_;  // the whole file
   TrackedBytes tracked_;
 
   uint32_t label_count_ = 0;
   std::vector<std::string_view> labels_;
-  std::vector<TreeColumns> trees_;
   std::vector<PatternRecord> patterns_;
   std::vector<VerdictRecord> verdicts_;
   std::vector<SnapshotHotProgram> hot_programs_;

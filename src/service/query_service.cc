@@ -9,6 +9,7 @@
 #include "contain/minimize.h"
 #include "pattern/canonical.h"
 #include "pattern/tpq_hash.h"
+#include "persist/snapshot.h"
 
 namespace tpc {
 namespace {
@@ -206,7 +207,7 @@ ContainmentResult QueryService::DecideOne(const Tpq& p, const Tpq& q,
   const Tpq& qq = *d.q;
   const VerdictKey& key = d.key;
   // The pooled program of a minimized pattern (the hotness-gated path of
-  // the probe cascade and the mapped-tree validation).
+  // the probe cascade).
   auto pooled = [&](const Tpq& pattern, uint64_t hash) {
     return programs_.Fetch(pattern,
                            ProgramKey{hash, pool_->generation(),
@@ -225,45 +226,11 @@ ContainmentResult QueryService::DecideOne(const Tpq& p, const Tpq& q,
         result.algorithm = hit->algorithm;
         return result;
       }
+      // Every cached refutation, warm-started ones included, is certified
+      // the same way: rebuild the canonical model its chain lengths fix and
+      // re-match q against it.
       std::vector<int32_t> lengths = *hit->counterexample_lengths;
       lengths.resize(DescendantEdges(pp).size(), 1);
-      // Mapped-tree fast path: when the refutation's canonical
-      // counterexample tree came in with a snapshot, validate it zero-copy
-      // against the mapped columns instead of rebuilding the canonical
-      // tree.  Sound without any trust in the file: the mapped tree is
-      // checked to be in L(p) and outside L(q) right here, and *any* such
-      // tree refutes p ⊑ q whatever the cache key hashed to.
-      if (mapped_snapshot_ != nullptr) {
-        auto mt = mapped_trees_.find(key);
-        if (mt != mapped_trees_.end()) {
-          const TreeView tv = mapped_snapshot_->TreeAt(mt->second);
-          std::shared_ptr<const MatcherProgram> p_prog =
-              pooled(pp, d.pm->hash);
-          std::shared_ptr<const MatcherProgram> q_prog =
-              pooled(qq, d.qm->hash);
-          if (p_prog != nullptr && q_prog != nullptr) {
-            const bool strong = mode == Mode::kStrong;
-            const std::optional<bool> p_ok =
-                MatchTree(*p_prog, tv, strong, ctx);
-            const std::optional<bool> q_ok =
-                p_ok == true ? MatchTree(*q_prog, tv, strong, ctx)
-                             : std::nullopt;
-            if (q_ok == false) {
-              stats.snapshot_trees_mapped.fetch_add(1,
-                                                    std::memory_order_relaxed);
-              stats.cache_hits.fetch_add(1, std::memory_order_relaxed);
-              ContainmentResult result;
-              result.contained = false;
-              result.counterexample_lengths = std::move(lengths);
-              result.algorithm = hit->algorithm;
-              return result;
-            }
-            // The mapped tree did not certify (p missed it, q matched it, or
-            // a charge was refused): fall through to the ordinary replay,
-            // which decides from scratch.
-          }
-        }
-      }
       std::optional<Tree> replay =
           ReplayRefutation(pp, qq, mode, lengths, pool_, ctx);
       if (replay.has_value()) {
@@ -522,9 +489,6 @@ bool QueryService::SaveSnapshot(const std::string& path, std::string* error) {
     if (error != nullptr) *error = "snapshot: save requires the cache layer";
     return false;
   }
-  // The bottom label of persisted counterexample trees must be interned
-  // *before* the label section is frozen, so every tree label is in-file.
-  const LabelId bottom = pool_->Fresh("_snapbot");
   const uint64_t generation = pool_->generation();
   SnapshotWriter writer(&ctx_->budget());
   if (!writer.SetLabels(*pool_)) {
@@ -579,12 +543,6 @@ bool QueryService::SaveSnapshot(const std::string& path, std::string* error) {
       std::vector<int32_t> lengths = *entry.counterexample_lengths;
       const Tpq& pm = pattern_of.at(key.p_hash);
       lengths.resize(DescendantEdges(pm).size(), 1);
-      // Materialize the counterexample canonical tree so a warm start can
-      // validate the refutation zero-copy against the mapped columns.
-      Tree t = CanonicalTree(pm, lengths, bottom);
-      if (std::optional<uint32_t> ti = writer.AddTree(t)) {
-        v.tree_index = static_cast<int32_t>(*ti);
-      }
       v.witness = std::move(lengths);
     }
     writer.AddVerdict(v);  // a refused entry is simply absent from the file
@@ -604,19 +562,17 @@ bool QueryService::LoadSnapshot(const std::string& path, std::string* error) {
     if (error != nullptr) *error = "snapshot: load requires the cache layer";
     return false;
   }
-  auto reader = std::make_unique<SnapshotReader>();
-  if (!reader->Open(path, &ctx_->budget(), error)) return false;
+  // Everything kept is copied out of the reader, which frees the file
+  // image when it goes out of scope.
+  SnapshotReader reader;
+  if (!reader.Open(path, &ctx_->budget(), error)) return false;
   EngineStats& stats = ctx_->stats();
   const uint64_t generation = pool_->generation();
 
-  // Intern the snapshot's spellings into the live pool.  When the live ids
-  // come out identical (the fresh-pool warm-start case), the mapped trees'
-  // label columns are valid against the live pool and can serve zero-copy.
-  std::vector<LabelId> remap(reader->label_count());
-  bool identity = true;
-  for (uint32_t i = 0; i < reader->label_count(); ++i) {
-    remap[i] = pool_->Intern(reader->LabelAt(i));
-    identity = identity && remap[i] == i;
+  // Intern the snapshot's spellings into the live pool.
+  std::vector<LabelId> remap(reader.label_count());
+  for (uint32_t i = 0; i < reader.label_count(); ++i) {
+    remap[i] = pool_->Intern(reader.LabelAt(i));
   }
 
   struct LoadedPattern {
@@ -624,13 +580,13 @@ bool QueryService::LoadSnapshot(const std::string& path, std::string* error) {
     TpqDigest digest;
     bool ok = false;
   };
-  std::vector<LoadedPattern> pats(reader->pattern_count());
-  for (uint32_t i = 0; i < reader->pattern_count(); ++i) {
+  std::vector<LoadedPattern> pats(reader.pattern_count());
+  for (uint32_t i = 0; i < reader.pattern_count(); ++i) {
     if (!ctx_->budget().Charge(1)) {
       if (error != nullptr) *error = "snapshot: load aborted (budget)";
       return false;
     }
-    const SnapshotReader::PatternRecord& rec = reader->PatternAt(i);
+    const SnapshotReader::PatternRecord& rec = reader.PatternAt(i);
     // The wide-digest equality re-check: recompute both 64-bit lanes in the
     // file's own id space and compare with the stored digest, so a record
     // whose structure silently drifted from its digest never seeds a key.
@@ -650,15 +606,14 @@ bool QueryService::LoadSnapshot(const std::string& path, std::string* error) {
     VerdictEntry entry;
     uint32_t p_index = 0;
     uint32_t q_index = 0;
-    int32_t tree_index = -1;
   };
   std::vector<StagedVerdict> staged;
-  for (uint32_t i = 0; i < reader->verdict_count(); ++i) {
+  for (uint32_t i = 0; i < reader.verdict_count(); ++i) {
     if (!ctx_->budget().Charge(1)) {
       if (error != nullptr) *error = "snapshot: load aborted (budget)";
       return false;
     }
-    const SnapshotReader::VerdictRecord& rec = reader->VerdictAt(i);
+    const SnapshotReader::VerdictRecord& rec = reader.VerdictAt(i);
     if (rec.mode_tag > 1 || rec.bound_tag > 1 ||
         rec.algorithm_tag >= kNumDispatchAlgorithms) {
       continue;
@@ -681,10 +636,6 @@ bool QueryService::LoadSnapshot(const std::string& path, std::string* error) {
       for (int32_t len : lengths) sane = sane && len >= 0;
       if (sane) sv.entry.counterexample_lengths = std::move(lengths);
     }
-    if (sv.entry.counterexample_lengths.has_value() && rec.tree_index >= 0 &&
-        identity) {
-      sv.tree_index = rec.tree_index;
-    }
     staged.push_back(std::move(sv));
   }
 
@@ -692,7 +643,6 @@ bool QueryService::LoadSnapshot(const std::string& path, std::string* error) {
   // all-or-nothing with respect to injected faults.  (Individual Put/Record
   // refusals under byte pressure still just drop that entry — the usual
   // accelerator semantics, not a partial-file hazard.)
-  std::unordered_map<VerdictKey, uint32_t, VerdictKeyHash> mapped;
   for (StagedVerdict& sv : staged) {
     const LoadedPattern& pl = pats[sv.p_index];
     const LoadedPattern& ql = pats[sv.q_index];
@@ -700,9 +650,6 @@ bool QueryService::LoadSnapshot(const std::string& path, std::string* error) {
     if (sv.entry.counterexample_lengths.has_value()) {
       RecordProbe(ProbeKey{ql.digest.lo, mode},
                   *sv.entry.counterexample_lengths);
-      if (sv.tree_index >= 0) {
-        mapped.emplace(sv.key, static_cast<uint32_t>(sv.tree_index));
-      }
     }
     lattice_->Record(pl.tpq, pl.digest, ql.tpq, ql.digest, mode, sv.key.bound,
                      generation, sv.entry.contained,
@@ -715,17 +662,12 @@ bool QueryService::LoadSnapshot(const std::string& path, std::string* error) {
                                     std::memory_order_relaxed);
   }
 
-  for (uint32_t i = 0; i < reader->hot_program_count(); ++i) {
-    const SnapshotHotProgram& rec = reader->HotProgramAt(i);
+  for (uint32_t i = 0; i < reader.hot_program_count(); ++i) {
+    const SnapshotHotProgram& rec = reader.HotProgramAt(i);
     const LoadedPattern& pl = pats[rec.pattern_index];
     if (!pl.ok || rec.mode_tag > 1) continue;
     programs_.Warm(ProgramKey{pl.digest.lo, generation, rec.mode_tag});
   }
-
-  // Adopt the mapping last: the fast path only ever sees a fully-loaded
-  // snapshot, and an aborted load above leaves the service merely cold.
-  mapped_snapshot_ = std::move(reader);
-  mapped_trees_ = std::move(mapped);
   return true;
 }
 

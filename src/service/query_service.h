@@ -58,7 +58,6 @@
 #include "engine/engine.h"
 #include "pattern/tpq.h"
 #include "pattern/tpq_hash.h"
-#include "persist/snapshot.h"
 #include "service/verdict_cache.h"
 #include "service/verdict_lattice.h"
 
@@ -91,7 +90,7 @@ struct ServiceOptions {
   size_t probe_pool_limit = 4;
   /// Byte bound of the compiled-program pool (src/compile/), which sits
   /// beside the verdict cache and serves the dispatcher's sweeps, the
-  /// single-tree routes, the probe cascade and the mapped-tree check.
+  /// single-tree routes and the probe cascade.
   int64_t program_cache_bytes = 1 << 20;
   /// Options forwarded to the underlying dispatcher (bound is part of the
   /// cache key).
@@ -162,18 +161,18 @@ class QueryService {
   std::vector<ContainmentResult> ContainsBatch(
       const std::vector<BatchItem>& items);
 
-  /// Persists the warm tier — verdict cache, minimized-pattern pool,
-  /// refutation counterexample trees, hot program keys — to `path`
+  /// Persists the warm tier — verdict cache (refutations as their chain
+  /// lengths), minimized-pattern pool, hot program keys — to `path`
   /// (atomically; src/persist/snapshot.h).  Requires the cache layer.
   /// False with `*error` on refusal or I/O failure; an aborted save never
   /// leaves a partial file behind.  Serialize with Contains/ContainsBatch.
   bool SaveSnapshot(const std::string& path, std::string* error);
 
-  /// Warm-starts from `path`: maps the snapshot, re-fences every entry on
-  /// the live pool generation and recomputed 128-bit digests, seeds the
+  /// Warm-starts from `path`: reads the snapshot, re-fences every entry on
+  /// the live pool generation and recomputed 128-bit digests, and seeds the
   /// verdict cache, lattice, probe book, minimize memo and program-pool
-  /// hotness, and keeps the mapping alive so cached refutations can be
-  /// validated zero-copy against the mapped counterexample trees.  False
+  /// hotness.  Nothing of the file outlives the call: a warm refutation hit
+  /// is replayed from its chain lengths like any other.  False
   /// with `*error` on a corrupt/truncated/version-skewed file (the service
   /// then simply stays cold).  Serialize with Contains/ContainsBatch.
   bool LoadSnapshot(const std::string& path, std::string* error);
@@ -260,12 +259,6 @@ class QueryService {
   VerdictLruCache cache_;
   ProgramCache programs_;
   std::unique_ptr<VerdictLattice> lattice_;
-
-  // Warm-start state (LoadSnapshot): the mapped snapshot plus the verdict
-  // keys whose counterexample trees it serves zero-copy.  Written only
-  // under the caller-serialization contract; read-only during decisions.
-  std::unique_ptr<SnapshotReader> mapped_snapshot_;
-  std::unordered_map<VerdictKey, uint32_t, VerdictKeyHash> mapped_trees_;
 
   std::mutex minimize_mu_;
   std::unordered_map<uint64_t, std::shared_ptr<const MinimizedEntry>>

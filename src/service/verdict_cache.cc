@@ -8,7 +8,8 @@
 
 namespace tpc {
 
-int64_t VerdictEntryCost(const VerdictKey& key, const VerdictEntry& entry) {
+int64_t VerdictEntryCost(const VerdictKey& /*key*/,
+                         const VerdictEntry& entry) {
   int64_t bytes = static_cast<int64_t>(sizeof(VerdictKey)) +
                   static_cast<int64_t>(sizeof(VerdictEntry)) +
                   // LRU node + index slot overhead, flat-rate estimate.

@@ -100,41 +100,6 @@ class TreeView {
   int32_t LastChild(int32_t i) const { return i - 1; }
   int32_t PrevSibling(int32_t c) const { return c - size_at_post_[c]; }
 
-  /// Adopts externally-owned columns — the zero-copy path of the snapshot
-  /// tier (src/persist): a `SnapshotReader` validates the mapped spans of a
-  /// serialized tree against every `Tree` invariant (parents precede
-  /// children, post_of/node_at_post mutually inverse, subtree sizes and
-  /// label mirrors consistent) and then adopts them directly, so a
-  /// warm-started server evaluates patterns against on-disk trees without
-  /// rebuilding an arena.  Preconditions: all six spans have length `n` and
-  /// satisfy the invariants `Tree::View()` guarantees; the spans must
-  /// outlive the view.  Callers other than a validating reader should go
-  /// through `Tree::View()`.
-  static TreeView Adopt(const LabelId* labels, const NodeId* parent,
-                        const int32_t* post_of, const NodeId* node_at_post,
-                        const int32_t* size_at_post,
-                        const LabelId* label_at_post, int32_t n) {
-    TreeView view;
-    view.labels_ = labels;
-    view.parent_ = parent;
-    view.post_of_ = post_of;
-    view.node_at_post_ = node_at_post;
-    view.size_at_post_ = size_at_post;
-    view.label_at_post_ = label_at_post;
-    view.n_ = n;
-    return view;
-  }
-
-  /// Bytes of the six columns a view of `n` nodes spans — the
-  /// `TrackedBytes` charge of an adopted (mapped) view, mirroring
-  /// `Tree::ColumnBytes` minus the creation-order-only columns a mapped
-  /// tree does not carry.
-  static int64_t AdoptedBytes(int32_t n) {
-    return static_cast<int64_t>(n) *
-           static_cast<int64_t>(2 * sizeof(NodeId) + 2 * sizeof(LabelId) +
-                                2 * sizeof(int32_t));
-  }
-
   // Raw spans (length `size()`), for kernels that index directly.
   const LabelId* labels() const { return labels_; }
   const NodeId* parent() const { return parent_; }

@@ -12,9 +12,10 @@
 //   * decided verdicts match the library ground truth;
 //   * the post-drain snapshot loads into a fresh service cold-equivalent.
 //
-// The slow instances force the canonical sweep (prefilters off or distinct
-// patterns), because the whole multi-tenant design exists for the paper's
-// coNP regime: requests that legitimately burn their entire budget.
+// The slow instances are coNP-cell pairs decided on the default route (the
+// type set) with prefilters off, because the whole multi-tenant design
+// exists for the paper's coNP regime: requests that legitimately burn their
+// entire budget.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -41,13 +42,33 @@ namespace tpc {
 namespace serve {
 namespace {
 
-/// A contained pair whose decision must enumerate the full canonical-model
-/// space (identity containment gives no early exit): 4 descendant edges,
-/// bound |q|+1, so (|q|+2)^4 = 2401 trees per request.  `salt` varies the
-/// leaf label so requests do not fold in the verdict cache.
-std::string SlowPattern(int salt) {
-  return "a//b//c//d//s" + std::to_string(salt);
+/// The contained "Where it loses" pair of DESIGN.md:
+/// p = r[y][z[l1]…[ln]]/x[//l1]…[//ln] against q = *[*/l1]…[*/ln].  The
+/// type set keeps about 2^n states of x's union layers and scans them
+/// quadratically, so `n` tunes the cost: about 1, 4 and 45 ms at n = 9, 10
+/// and 12 (RelWithDebInfo).  `salt` renames p's root so requests do not
+/// fold in the verdict cache.
+struct SlowPair {
+  std::string p;
+  std::string q;
+};
+
+SlowPair SlowInstance(int n, int salt) {
+  SlowPair pair{"r" + std::to_string(salt) + "[y][z", "*"};
+  std::string x = "]/x";
+  for (int i = 1; i <= n; ++i) {
+    const std::string l = "l" + std::to_string(i);
+    pair.p += "[" + l + "]";
+    x += "[//" + l + "]";
+    pair.q += "[*/" + l + "]";
+  }
+  pair.p += x;
+  return pair;
 }
+
+/// The everyday slow request; `DeepInstance` costs about four times more.
+SlowPair SlowPattern(int salt) { return SlowInstance(9, salt); }
+SlowPair DeepInstance(int salt) { return SlowInstance(10, salt); }
 
 struct ServerFixture {
   LabelPool pool;
@@ -70,13 +91,11 @@ struct ServerFixture {
   }
 };
 
-/// Forces every decision through the full sweep: no prefilter accepts, no
-/// fragment-specific P routes.
-ServiceOptions SweepOnlyOptions(bool use_cache) {
+/// Sends every decision to the dispatcher: no prefilter accepts or refutes.
+ServiceOptions SlowOptions(bool use_cache) {
   ServiceOptions o;
   o.use_cache = use_cache;
   o.use_prefilters = false;
-  o.containment.force_canonical = true;
   return o;
 }
 
@@ -158,7 +177,7 @@ TEST(ServeFaultTest, InjectedFaultsMidBatchStillAnswerEveryRequest) {
     ServerOptions options;
     options.workers = 2;
     fc.arm(&options.worker_config.fault_plan);
-    ServerFixture fx(options, SweepOnlyOptions(/*use_cache=*/false),
+    ServerFixture fx(options, SlowOptions(/*use_cache=*/false),
                      fc.name);
 
     Client client;
@@ -166,8 +185,9 @@ TEST(ServeFaultTest, InjectedFaultsMidBatchStillAnswerEveryRequest) {
     ASSERT_TRUE(client.ConnectUnix(fx.sock_path, "faulty", &error)) << error;
     constexpr int kRequests = 8;
     for (uint64_t id = 1; id <= kRequests; ++id) {
-      const std::string p = SlowPattern(static_cast<int>(id));
-      ASSERT_TRUE(client.SendQuery(id, Mode::kWeak, p, p, &error)) << error;
+      const SlowPair slow = SlowPattern(static_cast<int>(id));
+      ASSERT_TRUE(client.SendQuery(id, Mode::kWeak, slow.p, slow.q, &error))
+          << error;
     }
     std::map<uint64_t, WireStatus> statuses;
     for (int i = 0; i < kRequests; ++i) {
@@ -208,16 +228,17 @@ TEST(ServeFaultTest, DrainMidBatchAnswersEverythingAndFlushesSnapshot) {
   options.drain_ms = 100;
   options.snapshot_path = snapshot;
   // Cache ON (the snapshot needs the warm tier) but distinct patterns per
-  // request, so every decision still runs the slow sweep.
-  ServerFixture fx(options, SweepOnlyOptions(/*use_cache=*/true), "drain");
+  // request, so no decision is a cache hit.
+  ServerFixture fx(options, SlowOptions(/*use_cache=*/true), "drain");
 
   Client client;
   std::string error;
   ASSERT_TRUE(client.ConnectUnix(fx.sock_path, "drained", &error)) << error;
   constexpr int kRequests = 30;
   for (uint64_t id = 1; id <= kRequests; ++id) {
-    const std::string p = SlowPattern(static_cast<int>(id));
-    ASSERT_TRUE(client.SendQuery(id, Mode::kWeak, p, p, &error)) << error;
+    const SlowPair slow = SlowPattern(static_cast<int>(id));
+    ASSERT_TRUE(client.SendQuery(id, Mode::kWeak, slow.p, slow.q, &error))
+        << error;
   }
   // Let a few decide, then pull the plug mid-batch.
   std::map<uint64_t, WireStatus> statuses;
@@ -252,13 +273,14 @@ TEST(ServeFaultTest, DrainMidBatchAnswersEverythingAndFlushesSnapshot) {
   // The flushed snapshot warm-starts a fresh service cold-equivalently: a
   // decided verdict replays with the same answer.
   QueryService warm(&fx.pool, fx.ctx.get(),
-                    SweepOnlyOptions(/*use_cache=*/true));
+                    SlowOptions(/*use_cache=*/true));
   ASSERT_TRUE(warm.LoadSnapshot(snapshot, &error)) << error;
   ParseDiagnostic diag;
-  const std::string p_src = SlowPattern(1);
-  std::optional<Tpq> p = ParseTpqChecked(p_src, &fx.pool, &diag);
-  ASSERT_TRUE(p.has_value());
-  const ContainmentResult r = warm.Contains(*p, *p, Mode::kWeak);
+  const SlowPair slow = SlowPattern(1);
+  std::optional<Tpq> p = ParseTpqChecked(slow.p, &fx.pool, &diag);
+  std::optional<Tpq> q = ParseTpqChecked(slow.q, &fx.pool, &diag);
+  ASSERT_TRUE(p.has_value() && q.has_value());
+  const ContainmentResult r = warm.Contains(*p, *q, Mode::kWeak);
   ASSERT_EQ(r.outcome, Outcome::kDecided);
   EXPECT_TRUE(r.contained);
   unlink(snapshot.c_str());
@@ -267,15 +289,16 @@ TEST(ServeFaultTest, DrainMidBatchAnswersEverythingAndFlushesSnapshot) {
 TEST(ServeFaultTest, MidStreamDisconnectNeverLeaksSlotsOrResponses) {
   ServerOptions options;
   options.workers = 2;
-  ServerFixture fx(options, SweepOnlyOptions(/*use_cache=*/false), "disco");
+  ServerFixture fx(options, SlowOptions(/*use_cache=*/false), "disco");
 
   {
     Client client;
     std::string error;
     ASSERT_TRUE(client.ConnectUnix(fx.sock_path, "ghost", &error)) << error;
     for (uint64_t id = 1; id <= 10; ++id) {
-      const std::string p = SlowPattern(static_cast<int>(id));
-      ASSERT_TRUE(client.SendQuery(id, Mode::kWeak, p, p, &error)) << error;
+      const SlowPair slow = SlowPattern(static_cast<int>(id));
+      ASSERT_TRUE(client.SendQuery(id, Mode::kWeak, slow.p, slow.q, &error))
+          << error;
     }
     client.Abort();  // vanish without reading a single response
   }
@@ -307,20 +330,22 @@ TEST(ServeFaultTest, AdmissionCapShedsWithRetryHint) {
   ServerOptions options;
   options.workers = 1;
   options.default_quota.max_outstanding = 2;
-  ServerFixture fx(options, SweepOnlyOptions(/*use_cache=*/false), "shed");
+  ServerFixture fx(options, SlowOptions(/*use_cache=*/false), "shed");
 
   Client client;
   std::string error;
   ASSERT_TRUE(client.ConnectUnix(fx.sock_path, "capped", &error)) << error;
   // 6 slow queries against an outstanding cap of 2: the tail is shed.  The
   // shed count below assumes all 6 sends land before the single worker's
-  // first decision frees a slot, so this test uses a pattern one descendant
-  // edge deeper than SlowPattern (8^5 = 32768 trees per sweep): the client's
-  // 6 write syscalls must win a race against a multi-millisecond sweep, not
-  // a sub-millisecond one.
+  // first decision frees a slot, so this test uses an instance of n = 12:
+  // the client's 6 write syscalls (and the server's reads of them) must win
+  // a race against a decision of tens of milliseconds.  At n = 10 (4 ms) a
+  // descheduled IO thread lost that race about once in fifteen runs.  Only
+  // the two admitted requests are decided.
   for (uint64_t id = 1; id <= 6; ++id) {
-    const std::string p = "a//b//c//d//e//s" + std::to_string(id);
-    ASSERT_TRUE(client.SendQuery(id, Mode::kWeak, p, p, &error)) << error;
+    const SlowPair slow = SlowInstance(12, static_cast<int>(id));
+    ASSERT_TRUE(client.SendQuery(id, Mode::kWeak, slow.p, slow.q, &error))
+        << error;
   }
   int ok = 0, shed = 0;
   for (int i = 0; i < 6; ++i) {
@@ -344,7 +369,7 @@ TEST(ServeFaultTest, AdmissionCapShedsWithRetryHint) {
 }
 
 TEST(ServeFaultTest, FairShareIsolatesLightTenantFromAggressor) {
-  // Two aggressor shapes: 10 distinct full-sweep instances, and 10 copies
+  // Two aggressor shapes: 10 distinct slow instances, and 10 copies
   // of one instance sharing p (nothing folds them: the cache is off).  A
   // scheduler that dequeued same-p requests together would serve the
   // second flood several per ring visit against the light tenant's 1.
@@ -353,7 +378,7 @@ TEST(ServeFaultTest, FairShareIsolatesLightTenantFromAggressor) {
                           : "aggressor requests are distinct");
     ServerOptions options;
     options.workers = 1;  // deterministic DRR interleaving on one worker
-    ServerFixture fx(options, SweepOnlyOptions(/*use_cache=*/false),
+    ServerFixture fx(options, SlowOptions(/*use_cache=*/false),
                      shared_p ? "fair_shared" : "fair");
 
     Client aggressor;
@@ -361,18 +386,18 @@ TEST(ServeFaultTest, FairShareIsolatesLightTenantFromAggressor) {
     std::string error;
     ASSERT_TRUE(aggressor.ConnectUnix(fx.sock_path, "aggr", &error)) << error;
     ASSERT_TRUE(light.ConnectUnix(fx.sock_path, "light", &error)) << error;
-    // The aggressor floods 10 full-sweep instances; once the server has
+    // The aggressor floods 10 slow instances; once the server has
     // admitted all of them, the light tenant sends 5 trivial ones (distinct,
     // so no two of them share p either).  Under FIFO the light tenant would
     // wait behind the whole backlog; under DRR its requests interleave 1:1
-    // and finish well before the flood.  The instances are one descendant
-    // edge deeper than SlowPattern (8^5 = 32768 trees per sweep), so the
-    // backlog outlasts the admission wait below by a wide margin.
+    // and finish well before the flood.  The instances are `DeepInstance`s,
+    // so the backlog outlasts the admission wait below by a wide margin.
     constexpr int kAggressor = 10;
     for (uint64_t id = 1; id <= kAggressor; ++id) {
-      const std::string p =
-          "a//b//c//d//e//s" + std::to_string(shared_p ? 0 : id);
-      ASSERT_TRUE(aggressor.SendQuery(id, Mode::kWeak, p, p, &error))
+      const SlowPair slow =
+          DeepInstance(shared_p ? 0 : static_cast<int>(id));
+      ASSERT_TRUE(
+          aggressor.SendQuery(id, Mode::kWeak, slow.p, slow.q, &error))
           << error;
     }
     const Tenant* aggr_tenant = fx.server->tenants().Resolve("aggr");

@@ -200,8 +200,12 @@ TEST(ProtocolTest, TruncationAtEveryBoundaryNeverFalselyFrames) {
         << cut << "): " << error;
     // Only fully-delivered frames may have been produced.
     const size_t first_frame_bytes = EncodeHello("tenant").size();
-    if (cut < first_frame_bytes) EXPECT_EQ(frames, 0);
-    if (cut >= first_frame_bytes && cut < stream.size()) EXPECT_EQ(frames, 1);
+    if (cut < first_frame_bytes) {
+      EXPECT_EQ(frames, 0);
+    }
+    if (cut >= first_frame_bytes && cut < stream.size()) {
+      EXPECT_EQ(frames, 1);
+    }
   }
 }
 

@@ -1,22 +1,28 @@
-// Snapshot container property suite (src/persist/snapshot.h): random trees
-// and patterns must survive a write → mmap → read round trip bit-exactly
-// (the zero-copy `TreeView` over the mapped columns reproduces every
-// traversal of the original), and damaged inputs — flipped bytes, truncated
-// tails, version skew, foreign endianness tags — must be rejected with a
-// diagnostic, never undefined behaviour or a silently wrong tree.  Verdict
+// Snapshot container property suite (src/persist/snapshot.h): random
+// patterns, verdict records with their witness vectors and hot-program keys
+// must survive a write → read round trip bit-exactly, and damaged inputs —
+// a flip of any byte, a cut at any length, version skew (a v1 file
+// included), foreign endianness tags — must be rejected with a `snapshot:`
+// diagnostic, never undefined behaviour or a silently wrong record.  The
+// flip and truncation matrices run in a child process under an
+// address-space limit, so a corrupt count that sizes an allocation before
+// it is bounded fails there instead of hiding behind overcommit.  Verdict
 // records carry their dispatcher route as a tag: every route's tag (up to
 // the type set's) survives a service save → load, and tags past the last
 // route are skipped on load.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/label.h"
@@ -28,7 +34,6 @@
 #include "persist/snapshot.h"
 #include "reductions/hardness_families.h"
 #include "service/query_service.h"
-#include "tree/tree.h"
 
 namespace tpc {
 namespace {
@@ -49,74 +54,6 @@ void WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
   ASSERT_TRUE(out.good()) << path;
-}
-
-/// Asserts that the mapped view agrees with the original tree on every
-/// column, every traversal primitive and the sibling span-jump walk.
-void ExpectViewIdentity(const Tree& t, const TreeView& mapped) {
-  const TreeView orig = t.View();
-  ASSERT_EQ(mapped.size(), t.size());
-  for (NodeId v = 0; v < t.size(); ++v) {
-    EXPECT_EQ(mapped.Label(v), t.Label(v));
-    EXPECT_EQ(mapped.Parent(v), t.Parent(v));
-    EXPECT_EQ(mapped.PostOf(v), orig.PostOf(v));
-    EXPECT_EQ(mapped.SubtreeSize(v), orig.SubtreeSize(v));
-  }
-  for (int32_t i = 0; i < t.size(); ++i) {
-    EXPECT_EQ(mapped.NodeAtPost(i), orig.NodeAtPost(i));
-    EXPECT_EQ(mapped.LabelAtPost(i), orig.LabelAtPost(i));
-    EXPECT_EQ(mapped.SubtreeSizeAtPost(i), orig.SubtreeSizeAtPost(i));
-    // The span-jump child walk must enumerate exactly the node's children.
-    std::vector<NodeId> walked;
-    for (int32_t c = mapped.LastChild(i); c >= mapped.SpanBegin(i);
-         c = mapped.PrevSibling(c)) {
-      walked.push_back(mapped.NodeAtPost(c));
-    }
-    std::vector<NodeId> expect = t.Children(t.View().NodeAtPost(i));
-    // The walk is right-to-left.
-    std::reverse(walked.begin(), walked.end());
-    EXPECT_EQ(walked, expect) << "post " << i;
-  }
-}
-
-TEST(SnapshotRoundTripTest, ThousandRandomTreesSurviveBitExactly) {
-  LabelPool pool;
-  std::vector<LabelId> labels = MakeLabels(5, &pool);
-  std::mt19937 rng(20260809);
-
-  std::vector<Tree> trees;
-  for (int i = 0; i < 1000; ++i) {
-    RandomTreeOptions topt;
-    topt.labels = labels;
-    topt.size = 1 + static_cast<int32_t>(rng() % 40);
-    topt.branch_bias = (i % 10) / 10.0;
-    trees.push_back(RandomTree(topt, &rng));
-  }
-  // Adversarial shapes ride along: maximum depth and maximum fan-out.
-  trees.push_back(ChainTree(labels, 97));
-  trees.push_back(StarTree(labels, 97));
-
-  SnapshotWriter writer;
-  ASSERT_TRUE(writer.SetLabels(pool));
-  for (const Tree& t : trees) {
-    ASSERT_TRUE(writer.AddTree(t).has_value());
-  }
-  const std::string path = TempPath("roundtrip");
-  std::string error;
-  ASSERT_TRUE(writer.WriteTo(path, &error)) << error;
-
-  SnapshotReader reader;
-  ASSERT_TRUE(reader.Open(path, nullptr, &error)) << error;
-  ASSERT_EQ(reader.tree_count(), trees.size());
-  ASSERT_EQ(reader.label_count(), pool.size());
-  for (uint32_t i = 0; i < reader.label_count(); ++i) {
-    EXPECT_EQ(reader.LabelAt(i), pool.Name(static_cast<LabelId>(i)));
-  }
-  for (size_t i = 0; i < trees.size(); ++i) {
-    ExpectViewIdentity(trees[i], reader.TreeAt(static_cast<uint32_t>(i)));
-  }
-  reader.Close();
-  std::remove(path.c_str());
 }
 
 TEST(SnapshotRoundTripTest, PatternsRoundTripWithVerifiedDigests) {
@@ -168,75 +105,251 @@ TEST(SnapshotRoundTripTest, PatternsRoundTripWithVerifiedDigests) {
   std::remove(path.c_str());
 }
 
-/// Builds one small valid snapshot (labels + trees + patterns) and returns
-/// its bytes.
-std::vector<uint8_t> MakeValidSnapshotBytes(const std::string& path) {
+/// The records one small valid snapshot holds: every section is non-empty,
+/// so the corruption matrices below land in each of them.
+struct ValidSnapshot {
+  std::vector<uint8_t> bytes;
+  std::vector<SnapshotVerdict> verdicts;
+  std::vector<SnapshotHotProgram> hot;
+};
+
+/// Writes eight patterns, one contained and one refuted verdict (with a
+/// witness vector) per adjacent pattern pair, and two hot-program keys.
+ValidSnapshot MakeValidSnapshot(const std::string& path) {
   LabelPool pool;
   std::vector<LabelId> labels = MakeLabels(3, &pool);
   std::mt19937 rng(5);
   SnapshotWriter writer;
   EXPECT_TRUE(writer.SetLabels(pool));
   for (int i = 0; i < 8; ++i) {
-    RandomTreeOptions topt;
-    topt.labels = labels;
-    topt.size = 3 + static_cast<int32_t>(rng() % 10);
-    writer.AddTree(RandomTree(topt, &rng));
     RandomTpqOptions popt;
     popt.labels = labels;
     popt.fragment = fragments::kTpqFull;
     popt.size = 3;
     Tpq p = RandomTpq(popt, &rng);
-    writer.AddPattern(p, CanonicalTpqDigest(p));
+    EXPECT_TRUE(writer.AddPattern(p, CanonicalTpqDigest(p)).has_value());
+  }
+  ValidSnapshot snap;
+  for (uint32_t i = 0; i + 1 < 8; ++i) {
+    SnapshotVerdict contained;
+    contained.p_index = i;
+    contained.q_index = i + 1;
+    contained.contained = true;
+    contained.algorithm_tag = static_cast<uint8_t>(i % 7);
+    SnapshotVerdict refuted;
+    refuted.p_index = i + 1;
+    refuted.q_index = i;
+    refuted.mode_tag = static_cast<uint8_t>(i % 2);
+    refuted.bound_tag = 1;
+    refuted.algorithm_tag = 6;
+    for (uint32_t k = 0; k <= i % 3; ++k) {
+      refuted.witness.push_back(static_cast<int32_t>(1 + (i + k) % 4));
+    }
+    for (const SnapshotVerdict& v : {contained, refuted}) {
+      EXPECT_TRUE(writer.AddVerdict(v));
+      snap.verdicts.push_back(v);
+    }
+  }
+  snap.hot = {SnapshotHotProgram{2, 0}, SnapshotHotProgram{5, 1}};
+  for (const SnapshotHotProgram& h : snap.hot) {
+    EXPECT_TRUE(writer.AddHotProgram(h));
   }
   std::string error;
   EXPECT_TRUE(writer.WriteTo(path, &error)) << error;
-  return ReadFile(path);
+  snap.bytes = ReadFile(path);
+  return snap;
 }
 
-TEST(SnapshotRoundTripTest, SeededByteFlipsAreAlwaysRejected) {
-  const std::string path = TempPath("corrupt");
-  const std::vector<uint8_t> good = MakeValidSnapshotBytes(path);
-  ASSERT_GT(good.size(), 64u);
+std::vector<uint8_t> MakeValidSnapshotBytes(const std::string& path) {
+  return MakeValidSnapshot(path).bytes;
+}
 
-  // The container must reject EVERY single-byte flip: header fields are
-  // validated directly and the payload is checksummed, so no flip position
-  // can slip through.  Sample positions across the whole file, seeded.
-  std::mt19937 rng(0xC0DEC);
-  std::vector<size_t> positions;
-  for (size_t i = 0; i < 64; ++i) positions.push_back(i);  // all header bytes
-  for (int i = 0; i < 200; ++i) positions.push_back(rng() % good.size());
-
-  for (size_t pos : positions) {
-    std::vector<uint8_t> bad = good;
-    bad[pos] ^= 0x5A;
-    WriteFile(path, bad);
-    SnapshotReader reader;
-    std::string error;
-    EXPECT_FALSE(reader.Open(path, nullptr, &error))
-        << "flip at byte " << pos << " was accepted";
-    EXPECT_FALSE(error.empty()) << "flip at byte " << pos;
-    EXPECT_EQ(error.rfind("snapshot: ", 0), 0u) << error;
+TEST(SnapshotRoundTripTest, VerdictsAndHotProgramsRoundTrip) {
+  const std::string path = TempPath("verdicts");
+  const ValidSnapshot snap = MakeValidSnapshot(path);
+  SnapshotReader reader;
+  std::string error;
+  ASSERT_TRUE(reader.Open(path, nullptr, &error)) << error;
+  ASSERT_EQ(reader.verdict_count(), snap.verdicts.size());
+  for (uint32_t i = 0; i < reader.verdict_count(); ++i) {
+    const SnapshotReader::VerdictRecord& got = reader.VerdictAt(i);
+    const SnapshotVerdict& want = snap.verdicts[i];
+    EXPECT_EQ(got.p_index, want.p_index) << i;
+    EXPECT_EQ(got.q_index, want.q_index) << i;
+    EXPECT_EQ(got.mode_tag, want.mode_tag) << i;
+    EXPECT_EQ(got.bound_tag, want.bound_tag) << i;
+    EXPECT_EQ(got.contained, want.contained) << i;
+    EXPECT_EQ(got.algorithm_tag, want.algorithm_tag) << i;
+    EXPECT_EQ(std::vector<int32_t>(got.witness, got.witness + got.witness_len),
+              want.witness)
+        << i;
   }
+  ASSERT_EQ(reader.hot_program_count(), snap.hot.size());
+  for (uint32_t i = 0; i < reader.hot_program_count(); ++i) {
+    EXPECT_EQ(reader.HotProgramAt(i).pattern_index, snap.hot[i].pattern_index);
+    EXPECT_EQ(reader.HotProgramAt(i).mode_tag, snap.hot[i].mode_tag);
+  }
+  reader.Close();
   std::remove(path.c_str());
 }
 
-TEST(SnapshotRoundTripTest, SeededTruncationsAreAlwaysRejected) {
-  const std::string path = TempPath("trunc");
-  const std::vector<uint8_t> good = MakeValidSnapshotBytes(path);
+constexpr rlim_t kAddressSpaceLimit = rlim_t{1} << 30;
 
-  std::mt19937 rng(0x7A11);
-  std::vector<size_t> cuts = {0, 1, 63, 64, 65, good.size() - 1};
-  for (int i = 0; i < 50; ++i) cuts.push_back(rng() % good.size());
+/// Caps the process's address space at `kAddressSpaceLimit`, except under
+/// the sanitizers whose shadow mappings need it.  Runs only in death-test
+/// children.  True when the cap is in force.
+bool LimitAddressSpace() {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  return false;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+  return false;
+#endif
+#endif
+  struct rlimit rl;
+  if (getrlimit(RLIMIT_AS, &rl) != 0) return false;
+  if (rl.rlim_cur != RLIM_INFINITY && rl.rlim_cur <= kAddressSpaceLimit) {
+    return true;
+  }
+  if (rl.rlim_max != RLIM_INFINITY && rl.rlim_max < kAddressSpaceLimit) {
+    return false;
+  }
+  rl.rlim_cur = kAddressSpaceLimit;
+  return setrlimit(RLIMIT_AS, &rl) == 0;
+}
 
-  for (size_t cut : cuts) {
+/// Opens `bad` and reports (on stderr) whether it was accepted or rejected
+/// without a `snapshot:` diagnostic.  True when rejected properly.
+bool RejectedWithDiagnostic(const std::string& path,
+                            const std::vector<uint8_t>& bad,
+                            const std::string& what) {
+  WriteFile(path, bad);
+  SnapshotReader reader;
+  std::string error;
+  if (reader.Open(path, nullptr, &error)) {
+    std::fprintf(stderr, "%s was accepted\n", what.c_str());
+    return false;
+  }
+  if (error.rfind("snapshot: ", 0) != 0) {
+    std::fprintf(stderr, "%s: undiagnosed rejection '%s'\n", what.c_str(),
+                 error.c_str());
+    return false;
+  }
+  return true;
+}
+
+/// Re-seals `bytes` with the container's checksum (FNV-1a over byte 32 to
+/// the end, stored at byte 24), as a crafted file would be.
+void Reseal(std::vector<uint8_t>* bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (size_t i = 32; i < bytes->size(); ++i) {
+    h ^= (*bytes)[i];
+    h *= 0x100000001b3ULL;
+  }
+  std::memcpy(bytes->data() + 24, &h, sizeof(h));
+}
+
+/// Death-test body: flips every byte of `good` (header included), then
+/// forges each section count under a valid checksum.  Exits 0 iff every
+/// file was rejected with a diagnostic.
+[[noreturn]] void RunFlipMatrix(const std::string& path,
+                                const std::vector<uint8_t>& good) {
+  LimitAddressSpace();
+  int failures = 0;
+  for (size_t pos = 0; pos < good.size(); ++pos) {
+    for (uint8_t mask : {uint8_t{0x5A}, uint8_t{0x80}}) {
+      std::vector<uint8_t> bad = good;
+      bad[pos] ^= mask;
+      if (!RejectedWithDiagnostic(path, bad,
+                                  "flip at byte " + std::to_string(pos))) {
+        ++failures;
+      }
+    }
+  }
+  // A checksum is not authentication: counts large enough to exhaust the
+  // address space if they sized an allocation must be bounded anyway.
+  for (size_t off : {32, 36, 40, 44}) {
+    uint32_t real;
+    std::memcpy(&real, &good[off], sizeof(real));
+    for (uint32_t forged : {real + 1, 0x0FFFFFFFu, 0xFFFFFFFFu}) {
+      std::vector<uint8_t> bad = good;
+      std::memcpy(&bad[off], &forged, sizeof(forged));
+      Reseal(&bad);
+      if (!RejectedWithDiagnostic(path, bad,
+                                  "count " + std::to_string(forged) +
+                                      " at byte " + std::to_string(off))) {
+        ++failures;
+      }
+    }
+  }
+  std::_Exit(failures == 0 ? 0 : 1);
+}
+
+/// Death-test body: cuts `good` at every length short of its own.  Under
+/// the address-space cap it also offers a sparse file larger than the cap,
+/// whose image cannot be allocated.
+[[noreturn]] void RunTruncationMatrix(const std::string& path,
+                                      const std::vector<uint8_t>& good) {
+  const bool capped = LimitAddressSpace();
+  int failures = 0;
+  for (size_t cut = 0; cut < good.size(); ++cut) {
     std::vector<uint8_t> bad(good.begin(), good.begin() + cut);
-    WriteFile(path, bad);
+    if (!RejectedWithDiagnostic(path, bad,
+                                "truncation to " + std::to_string(cut))) {
+      ++failures;
+    }
+  }
+  if (capped) {
+    WriteFile(path, good);
+    if (::truncate(path.c_str(), static_cast<off_t>(2 * kAddressSpaceLimit)) !=
+        0) {
+      std::fprintf(stderr, "cannot grow %s\n", path.c_str());
+      ++failures;
+    }
     SnapshotReader reader;
     std::string error;
-    EXPECT_FALSE(reader.Open(path, nullptr, &error))
-        << "truncation to " << cut << " bytes was accepted";
-    EXPECT_FALSE(error.empty());
+    if (reader.Open(path, nullptr, &error) ||
+        error.rfind("snapshot: ", 0) != 0) {
+      std::fprintf(stderr, "oversized file: '%s'\n", error.c_str());
+      ++failures;
+    }
   }
+  std::_Exit(failures == 0 ? 0 : 1);
+}
+
+/// Reads the header's section count at byte `off`.
+uint32_t HeaderCount(const std::vector<uint8_t>& bytes, size_t off) {
+  uint32_t v;
+  std::memcpy(&v, &bytes[off], sizeof(v));
+  return v;
+}
+
+// The container must reject EVERY single-byte flip: the header's leading
+// fields are validated directly, and bytes 32 onward — the section counts,
+// the reserved tail and the whole payload — are checksummed, so no flip
+// position can slip through.  Forged counts under a valid checksum are
+// bounded by the bytes left to hold them.
+TEST(SnapshotRoundTripTest, EveryByteFlipIsRejected) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::string path = TempPath("corrupt");
+  const std::vector<uint8_t> good = MakeValidSnapshotBytes(path);
+  ASSERT_GT(good.size(), 64u);
+  // Every section is populated: labels, patterns, verdicts, hot programs.
+  EXPECT_GT(HeaderCount(good, 32), 0u);
+  EXPECT_EQ(HeaderCount(good, 36), 8u);
+  EXPECT_EQ(HeaderCount(good, 40), 14u);
+  EXPECT_EQ(HeaderCount(good, 44), 2u);
+  EXPECT_EXIT(RunFlipMatrix(path, good), ::testing::ExitedWithCode(0), "");
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotRoundTripTest, EveryTruncationIsRejected) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::string path = TempPath("trunc");
+  const std::vector<uint8_t> good = MakeValidSnapshotBytes(path);
+  EXPECT_EXIT(RunTruncationMatrix(path, good), ::testing::ExitedWithCode(0),
+              "");
   std::remove(path.c_str());
 }
 
@@ -245,8 +358,10 @@ TEST(SnapshotRoundTripTest, VersionSkewAndForeignEndiannessAreRejected) {
   const std::vector<uint8_t> good = MakeValidSnapshotBytes(path);
 
   // Version field lives at byte 8 (u32).  A reader must name the skew even
-  // without consulting the checksum.
-  for (uint32_t v : {kSnapshotFormatVersion + 1, kSnapshotFormatVersion + 7,
+  // without consulting the checksum.  Version 1 is the old layout, which
+  // still carried a tree section.
+  ASSERT_EQ(kSnapshotFormatVersion, 2u);
+  for (uint32_t v : {1u, kSnapshotFormatVersion + 1, kSnapshotFormatVersion + 7,
                      0u, 0xFFFFFFFFu}) {
     std::vector<uint8_t> bad = good;
     std::memcpy(&bad[8], &v, sizeof(v));
@@ -254,7 +369,7 @@ TEST(SnapshotRoundTripTest, VersionSkewAndForeignEndiannessAreRejected) {
     SnapshotReader reader;
     std::string error;
     EXPECT_FALSE(reader.Open(path, nullptr, &error)) << "version " << v;
-    EXPECT_NE(error.find("version"), std::string::npos) << error;
+    EXPECT_EQ(error.rfind("snapshot: format version skew", 0), 0u) << error;
   }
 
   // Endianness tag lives at byte 12 (u32): a byte-swapped tag simulates a
